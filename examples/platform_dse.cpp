@@ -43,12 +43,11 @@
 // `--objectives` picks the Pareto-dominance axes by registered name
 // (default tput,area,power; add `energy` for the energy-per-item
 // frontier). The sweep itself runs through the staged DseSession API.
-// `--workers` runs the sweep as a distributed sharded service instead of a
-// local session: <count> SweepWorkers over an in-process dsoc loopback
-// transport, range partitioning with work-stealing, and a coordinator-side
-// merge that is byte-identical to the session at any worker count
-// (soc::core::run_distributed_sweep). Distribution stats (ranges, steals,
-// wire words) are printed after the sweep.
+// `--workers` runs the sweep through an in-process soc::svc::DseService
+// with <count> pool threads (and one DseClient on a loopback bus) instead
+// of a local session; the result is byte-identical to the session at any
+// pool width. Service stats (pool width, streamed points, time to first
+// point, wall time) are printed after the sweep.
 // `--no-eval-cache` disables the cross-sweep EvalCache memo (identical
 // results, only slower — for A/B timing); with the cache on, the stage-1
 // hit/miss counters are printed after the sweep.
@@ -61,13 +60,15 @@
 #include <vector>
 
 #include "soc/apps/graphs.hpp"
-#include "soc/core/distributed_sweep.hpp"
 #include "soc/core/dse.hpp"
 #include "soc/core/dse_session.hpp"
 #include "soc/core/mapper.hpp"
 #include "soc/core/objective_space.hpp"
 #include "soc/core/scenario.hpp"
 #include "soc/core/validate.hpp"
+#include "soc/svc/dse_client.hpp"
+#include "soc/svc/dse_service.hpp"
+#include "soc/tlm/loopback.hpp"
 
 using namespace soc;
 
@@ -137,15 +138,29 @@ void print_usage(std::FILE* out) {
                "--scenarios replaces the bundled graph with <count> "
                "generated scenario graphs;\n--constraints stripes PE kinds "
                "across <groups> groups and caps per-PE demand at "
-               "<capacity>;\n--workers runs the sweep distributed: <count> "
-               "sharded workers over the in-process\ndsoc loopback "
-               "transport with work-stealing -- the merged result is "
-               "byte-identical\nto the local session at any worker count "
-               "(threads then applies per machine, not\nper worker);\n"
+               "<capacity>;\n--workers runs the sweep on <count> pool "
+               "threads of an in-process DseService\n(threads is then "
+               "unused) -- the result is byte-identical to the local "
+               "session;\n"
                "--no-eval-cache disables the cross-sweep "
                "stage-1 memo (soc::core::EvalCache) --\nresults are "
                "bit-identical either way, only slower; with the cache on "
                "the sweep\nprints its hit/miss counters.\n");
+}
+
+/// Runs `req` on an in-process DseService with `pool_threads` pool threads,
+/// submitted by one DseClient over a loopback bus.
+svc::SweepResult serve_in_process(const core::SweepRequest& req,
+                                  int pool_threads) {
+  tlm::LoopbackTransport bus;
+  svc::DseServiceConfig cfg;
+  cfg.pool_threads = pool_threads;
+  svc::DseService service(bus, svc::kServiceTerminal, cfg);
+  svc::DseClient client(bus, svc::kServiceTerminal + 1);
+  svc::SweepResult res = client.wait(client.submit(req));
+  service.stop();
+  bus.shutdown();
+  return res;
 }
 
 /// Strict base-10 integer parse: nullopt on empty input or trailing junk
@@ -349,18 +364,22 @@ static int run_tool(int argc, char** argv) {
   // drives the standard pipeline; the objective space picks the dominance
   // axes the front is marked over. With --scenarios the session evaluates
   // every candidate against each generated scenario graph instead of the
-  // bundled application. With --workers the same sweep runs as a
-  // distributed sharded service instead; the merge contract keeps every
-  // artifact below byte-identical between the two paths.
+  // bundled application. With --workers the same sweep runs on an
+  // in-process DseService instead; both lay their result out through
+  // core::lay_out_sweep, so every artifact below is byte-identical.
   std::optional<core::DseSession> session;
-  core::DistributedSweepResult dres;
-  const bool distributed = workers > 0;
+  svc::SweepResult served;
+  core::EvalCacheStats served_cache{};
+  const bool serve = workers > 0;
   try {
-    if (distributed) {
-      dres = core::run_distributed_sweep(
-          core::DseProblem{graph, objectives, {}, node},
-          scenarios ? *scenarios : core::ScenarioSet{graph}, space, ac, dc,
+    if (serve) {
+      const core::EvalCacheStats before = core::EvalCache::global().stats();
+      served = serve_in_process(
+          core::SweepRequest{core::DseProblem{graph, objectives, {}, node},
+                             scenarios ? *scenarios : core::ScenarioSet{graph},
+                             space, ac, dc},
           workers);
+      served_cache = core::EvalCache::global().stats().delta_since(before);
     } else if (scenarios) {
       session.emplace(core::DseProblem{graph, objectives, {}, node},
                       *scenarios, space, ac, dc);
@@ -374,12 +393,11 @@ static int run_tool(int argc, char** argv) {
     std::fprintf(stderr, "bad DSE inputs: %s\n", e.what());
     return 2;
   }
-  const std::vector<core::DsePoint>& points =
-      distributed ? dres.points : session->points();
+  const core::SweepLayout& result = serve ? served : session->layout();
+  const std::vector<core::DsePoint>& points = result.points;
   // With --map-fronts the point vector is the candidate grid plus the
   // appended mapping-front extras; report the two regions separately.
-  const std::size_t ngrid =
-      distributed ? dres.grid_points : session->grid_point_count();
+  const std::size_t ngrid = result.grid_points;
   if (nodes.empty()) {
     std::printf("\n%zu candidates at %s (objectives: %s, mapper: %s",
                 ngrid, node.name.c_str(), objectives.names().c_str(),
@@ -404,11 +422,9 @@ static int run_tool(int argc, char** argv) {
   if (scenario_count > 0) {
     // Per-scenario summary instead of the full (scenarios x candidates)
     // table: front size and feasibility per slice, then the aggregate.
-    const auto& sfronts =
-        distributed ? dres.scenario_fronts : session->scenario_fronts();
-    const auto& afront = distributed ? dres.front : session->front_indices();
     for (int s = 0; s < scenario_count; ++s) {
-      const auto& front = sfronts.at(static_cast<std::size_t>(s));
+      const auto& front =
+          result.scenario_fronts.at(static_cast<std::size_t>(s));
       std::size_t feasible = 0;
       const std::size_t ncand =
           ngrid / static_cast<std::size_t>(scenario_count);
@@ -424,7 +440,7 @@ static int run_tool(int argc, char** argv) {
                   s, sg.name().c_str(), sg.node_count(), front.size(),
                   feasible, ncand);
     }
-    std::printf("  aggregate front: %zu points\n", afront.size());
+    std::printf("  aggregate front: %zu points\n", result.front.size());
   } else {
     for (const auto& pt : points) {
       std::printf("  %s\n", core::to_string(pt).c_str());
@@ -432,9 +448,10 @@ static int run_tool(int argc, char** argv) {
   }
   if (use_eval_cache) {
     // Stage-1 memo traffic of this sweep (delta over the process-wide
-    // EvalCache counters; see DseSession::cache_stats).
+    // EvalCache counters; see DseSession::cache_stats). The served figure
+    // spans the whole sweep, stage-2 contexts included.
     const core::EvalCacheStats& cs =
-        distributed ? dres.cache_stats : session->cache_stats();
+        serve ? served_cache : session->cache_stats();
     std::printf("  eval cache: %llu/%llu platform hits, %llu/%llu mapping "
                 "hits (hit rate %.2f)\n",
                 static_cast<unsigned long long>(cs.platform_hits),
@@ -445,18 +462,12 @@ static int run_tool(int argc, char** argv) {
                                                 cs.mapping_misses),
                 cs.hit_rate());
   }
-  if (distributed) {
-    const core::SweepStats& st = dres.stats;
-    std::printf("  distributed: %d workers, %llu ranges (%llu stolen, %llu "
-                "cancels), %llu points streamed (%llu dup), %llu wire "
-                "words, merge %.2f ms, wall %.1f ms\n",
-                st.workers, static_cast<unsigned long long>(st.ranges_issued),
-                static_cast<unsigned long long>(st.steals),
-                static_cast<unsigned long long>(st.cancels_sent),
-                static_cast<unsigned long long>(st.points_streamed),
-                static_cast<unsigned long long>(st.duplicate_points),
-                static_cast<unsigned long long>(st.words_on_wire),
-                st.merge_ms, st.wall_ms);
+  if (serve) {
+    std::printf("  service: %d pool threads, %llu points streamed, first "
+                "point %.2f ms, wall %.1f ms\n",
+                workers,
+                static_cast<unsigned long long>(served.points_streamed),
+                served.time_to_first_point_ms, served.wall_ms);
   }
   // Typed constraint findings that survived mapper repair, if any.
   for (std::size_t i = 0; i < points.size(); ++i) {

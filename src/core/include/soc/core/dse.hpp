@@ -1,11 +1,10 @@
 #pragma once
 
 /// \file
-/// Design-space exploration value types (candidates, axes, points, config)
-/// and the deprecated monolithic entry points. The exploration engine
-/// itself lives in dse_session.hpp (DseProblem + DseSession: staged
-/// execution, pluggable dominance objectives, per-candidate topology
-/// reuse); run_dse / mark_pareto_front remain as thin shims over it.
+/// Design-space exploration value types (candidates, axes, points, config).
+/// The exploration engine itself lives in dse_session.hpp (DseProblem +
+/// DseSession: staged execution, pluggable dominance objectives,
+/// per-candidate topology reuse).
 
 #include <string>
 #include <vector>
@@ -31,7 +30,7 @@ struct DseCandidate {
 /// Axes the DSE sweeps (cartesian product).
 struct DseSpace {
   /// Process nodes to try (outermost axis). Empty means "the single node
-  /// passed to run_dse" — the pre-node-axis behavior.
+  /// DseProblem::node names" — the pre-node-axis behavior.
   std::vector<tech::ProcessNode> nodes{};
   /// PE-pool sizes to try (each entry must be positive).
   std::vector<int> pe_counts{4, 8, 16, 32};
@@ -60,7 +59,7 @@ struct DsePoint {
   std::string scenario_name;
   /// The placement behind mapping_cost: one PE index per node of the
   /// candidate's work graph (the input graph replicated num_pes/|graph|
-  /// times, at least once — see run_dse). The validation stage replays
+  /// times, at least once — see EvalContext). The validation stage replays
   /// exactly this mapping instead of re-running the mapper.
   Mapping mapping;
   /// Registered mapper strategy that produced mapping_cost.
@@ -102,7 +101,7 @@ struct DseConfig {
   /// 0 = one shard per hardware core, 1 = serial, N = exactly N shards.
   int num_threads = 0;
   /// Registered mapping strategy used for every candidate (see mapper.hpp);
-  /// run_dse throws std::invalid_argument on an unknown name.
+  /// the session throws std::invalid_argument on an unknown name.
   std::string mapper = "anneal";
   /// Opt-in second stage: after the analytic sweep marks the Pareto front,
   /// re-score only the front points through the event-driven NoC simulator
@@ -164,8 +163,8 @@ struct DseConfig {
 };
 
 /// Enumerates the cartesian candidate space in sweep order (nodes
-/// outermost, then pe_counts, fabrics innermost) — the order run_dse
-/// returns points in. An empty DseSpace::nodes axis enumerates at
+/// outermost, then pe_counts, fabrics innermost) — the order a session's
+/// grid lists candidates in. An empty DseSpace::nodes axis enumerates at
 /// `fallback_node` only.
 std::vector<DseCandidate> enumerate_candidates(
     const DseSpace& space,
@@ -178,43 +177,6 @@ std::vector<DseCandidate> enumerate_candidates(
 /// DsePoint's mapping outside the sweep.
 PlatformDesc make_candidate_platform(const DseCandidate& cand,
                                      const DseConfig& config = {});
-
-/// \deprecated Construct a DseSession (dse_session.hpp) instead — it adds
-/// staged execution, pluggable dominance objectives (including the energy
-/// axis this fixed signature cannot express), a streaming point observer,
-/// and single-build topology reuse across both stages. This shim builds a
-/// session over the default (tput, area, power) objective triple and runs
-/// the standard pipeline; it is regression-tested bit-exact against that
-/// session at every thread count.
-///
-/// Sweeps the design space, mapping `graph` onto each candidate with the
-/// configured mapper, and evaluates silicon cost at each candidate's node
-/// (`node` serves as the single node when space.nodes is empty). With
-/// config.validate_pareto the sweep replays each Pareto point's mapped
-/// traffic on the contention-aware NoC simulator; with
-/// config.physical_links (the default) both stages price the floorplanned
-/// wire lengths of every candidate's interconnect at its node. Inputs are
-/// validated up front; violations throw std::invalid_argument naming the
-/// offending field.
-[[deprecated("use DseSession (soc/core/dse_session.hpp)")]]
-std::vector<DsePoint> run_dse(const TaskGraph& graph, const DseSpace& space,
-                              const tech::ProcessNode& node,
-                              const ObjectiveWeights& weights = {},
-                              const AnnealConfig& anneal = {},
-                              const DseConfig& config = {});
-
-/// \deprecated Use ObjectiveSpace::mark_front (objective_space.hpp), which
-/// ranks over any registered axis set; this shim marks the front over the
-/// default (tput, area, power) triple, bit-exact with its historical
-/// behavior.
-///
-/// Marks (and returns indices of) the Pareto front over
-/// (throughput max, area min, power min). The all-pairs dominance pass is
-/// sharded per point under the same config; the flag and index vector it
-/// produces do not depend on thread count.
-[[deprecated("use ObjectiveSpace::mark_front (soc/core/objective_space.hpp)")]]
-std::vector<std::size_t> mark_pareto_front(std::vector<DsePoint>& points,
-                                           const DseConfig& config = {});
 
 /// One-line table row for reports.
 std::string to_string(const DsePoint& p);

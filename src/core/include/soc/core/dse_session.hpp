@@ -6,14 +6,15 @@
 /// dominance objectives (ObjectiveSpace), a streaming point observer, and a
 /// per-candidate EvalContext that builds, floorplans, and BFS-routes each
 /// candidate's interconnect exactly once across both exploration stages.
-/// Supersedes the monolithic run_dse free function (kept as a deprecated
-/// shim in dse.hpp, asserted bit-exact against the session).
+/// Also home of the sweep result layout (SweepLayout / lay_out_sweep) that
+/// the session, the DSE service, and its client all assemble through.
 
 #include <cstddef>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "soc/core/dse.hpp"
@@ -130,11 +131,69 @@ struct SweepFronts {
   std::vector<std::vector<std::size_t>> per_scenario;
 };
 
+/// One sweep's stage-1 products as a collector receives them — from the
+/// session's thread pool, the service pool, or the wire — in whatever order
+/// evaluations complete. The three vectors run in parallel, one entry per
+/// arrival; nothing is sized by the grid until lay_out_sweep places them.
+struct SweepArrivals {
+  /// Flat grid index of each arrival.
+  std::vector<std::size_t> flats;
+  /// Each arrival's canonical grid point.
+  std::vector<DsePoint> points;
+  /// Each arrival's mapping-front extras, strategy order.
+  std::vector<std::vector<DsePoint>> extras;
+
+  /// Records the products of flat grid index `flat`.
+  void add(std::size_t flat, DsePoint point,
+           std::vector<DsePoint> point_extras) {
+    flats.push_back(flat);
+    points.push_back(std::move(point));
+    extras.push_back(std::move(point_extras));
+  }
+  /// Reserves room for `n` arrivals (allocation only; nothing is built).
+  void reserve(std::size_t n) {
+    flats.reserve(n);
+    points.reserve(n);
+    extras.reserve(n);
+  }
+};
+
+/// A sweep's result in the session layout: the scenario-major grid, then
+/// mapping-front extras in flat-parent order, and the fronts marked over
+/// them. DseSession, soc::svc::DseService and soc::svc::DseClient all hold
+/// their results in this one shape, built by lay_out_sweep.
+struct SweepLayout {
+  /// Grid points in flat order, then extras in flat-parent order.
+  std::vector<DsePoint> points;
+  /// Size of the canonical grid (scenarios x candidates).
+  std::size_t grid_points = 0;
+  /// Per extra point: the flat grid index of its parent pair.
+  std::vector<std::size_t> extra_parents;
+  /// Aggregate front: ascending indices into `points`.
+  std::vector<std::size_t> front;
+  /// Per-scenario fronts: ascending indices into `points`, scenario order.
+  std::vector<std::vector<std::size_t>> scenario_fronts;
+
+  /// Flat grid index of the (scenario, candidate) pair that produced point
+  /// `i`: `i` itself on the grid, the recorded parent for an extra. Throws
+  /// std::out_of_range when `i` is not below points.size().
+  std::size_t parent(std::size_t i) const;
+};
+
+/// Lays out one sweep's stage-1 arrivals, taken in any order: the grid in
+/// flat order, then every arrival's extras in flat-parent order. The grid
+/// is permuted in place inside the arrivals' own point buffer, so laying
+/// out costs no second copy of the sweep. Fronts are left empty
+/// (ShardEvaluator::mark_fronts marks them over the result). Throws
+/// std::invalid_argument unless the arrivals' flat indices are exactly
+/// [0, grid_points), each once.
+SweepLayout lay_out_sweep(SweepArrivals arrivals, std::size_t grid_points);
+
 /// The per-point evaluation kernel a DSE sweep is made of, factored out of
-/// DseSession so one machine's session loop and a distributed sweep's
-/// workers (soc/core/distributed_sweep.hpp) run the *same code* on the same
-/// flat indices — the byte-identical merge contract holds by construction,
-/// not by parallel maintenance of two evaluators.
+/// DseSession so the session's thread pool and soc::svc::DseService's pool
+/// run the *same code* on the same flat indices — a served sweep is
+/// byte-identical to a local one by construction, not by parallel
+/// maintenance of two evaluators.
 ///
 /// The flat index space is the session's: point s*C + c scores candidate c
 /// under scenario s, and its mapper RNG stream is derived statelessly from
@@ -192,11 +251,11 @@ class ShardEvaluator {
   /// Marks each scenario's Pareto front over problem.objectives in place
   /// on `points` — the full scenario-major grid (grid_point_count()
   /// entries) followed by mapping-front extras in flat-parent order,
-  /// located by `extra_parents` — and returns the front index sets. Runs
-  /// the exact marker DseSession::front() runs, so a service that
-  /// assembled `points` from streamed shard results marks fronts
-  /// bit-identical to a single-machine session's. Throws
-  /// std::invalid_argument when sizes disagree or a parent index is
+  /// located by `extra_parents` (a SweepLayout's two fields) — and returns
+  /// the front index sets. Dominance never crosses scenario slices. This
+  /// is the one marker: DseSession::front() and DseService both run it, so
+  /// a served sweep marks fronts bit-identical to a local session's.
+  /// Throws std::invalid_argument when sizes disagree or a parent index is
   /// outside the grid.
   SweepFronts mark_fronts(std::vector<DsePoint>& points,
                           const std::vector<std::size_t>& extra_parents) const;
@@ -230,9 +289,9 @@ class ShardEvaluator {
 /// candidate was mapped against in stage 1 is the very instance its stage-2
 /// replay simulates — nothing is rebuilt or re-floorplanned between stages.
 /// The contexts stay inspectable (context()) for the session's lifetime, so
-/// memory is O(candidates x pe_count^2) rather than the monolith's
-/// O(worker threads) — a few KB per candidate at the repo's sweep sizes;
-/// destroy the session (the run_dse shim's is a temporary) to release it.
+/// memory is O(candidates x pe_count^2) rather than O(worker threads) — a
+/// few KB per candidate at the repo's sweep sizes; destroy the session to
+/// release it.
 class DseSession {
  public:
   /// Which stage produced the point an observer receives.
@@ -267,9 +326,7 @@ class DseSession {
   DseSession& operator=(const DseSession&) = delete;  ///< non-copyable
 
   /// Installs a streaming observer invoked once per point as its stage
-  /// completes — the publication hook distributed sweeps use to stream
-  /// points through the dsoc broker/skeleton layer instead of waiting for
-  /// one flat vector. Calls are serialized (never concurrent), from worker
+  /// completes. Calls are serialized (never concurrent), from worker
   /// threads, in completion order: nondeterministic under num_threads != 1,
   /// sweep order when serial. Install before evaluate().
   void on_point(PointObserver observer);
@@ -307,50 +364,51 @@ class DseSession {
   std::vector<DsePoint> run();
 
   /// The problem under exploration.
-  const DseProblem& problem() const noexcept { return problem_; }
+  const DseProblem& problem() const noexcept { return shard_.problem(); }
   /// The swept design space.
-  const DseSpace& space() const noexcept { return space_; }
+  const DseSpace& space() const noexcept { return shard_.space(); }
   /// Mapper knobs (iteration budget, temperatures, seed).
-  const AnnealConfig& anneal() const noexcept { return anneal_; }
+  const AnnealConfig& anneal() const noexcept { return shard_.anneal(); }
   /// Execution knobs.
-  const DseConfig& config() const noexcept { return config_; }
+  const DseConfig& config() const noexcept { return shard_.config(); }
   /// Points so far (empty before evaluate()), scenario-major. With
   /// DseConfig::mapping_fronts the first grid_point_count() entries are the
   /// canonical scenario-major grid and the rest are mapping-front extras in
   /// flat-parent order (extra_parent() locates each one's grid pair).
-  const std::vector<DsePoint>& points() const noexcept { return points_; }
+  const std::vector<DsePoint>& points() const noexcept {
+    return layout_.points;
+  }
   /// Size of the canonical scenario-major grid: scenario_count() x candidate
   /// count (== points().size() unless DseConfig::mapping_fronts appended
   /// extras); 0 before evaluate().
-  std::size_t grid_point_count() const noexcept { return grid_points_; }
+  std::size_t grid_point_count() const noexcept { return layout_.grid_points; }
   /// Flat grid index of the (scenario, candidate) pair that produced extra
   /// point `i` — `i` must be in [grid_point_count(), points().size());
   /// throws std::out_of_range otherwise.
-  std::size_t extra_parent(std::size_t i) const {
-    if (i < grid_points_) {
-      throw std::out_of_range("DseSession::extra_parent: grid index");
-    }
-    return extra_parents_.at(i - grid_points_);
-  }
+  std::size_t extra_parent(std::size_t i) const;
   /// Aggregate front indices (empty before front()).
   const std::vector<std::size_t>& front_indices() const noexcept {
-    return front_;
+    return layout_.front;
   }
   /// Number of scenarios the session evaluates (1 for the single-graph
   /// constructor).
   int scenario_count() const noexcept {
-    return static_cast<int>(scenarios_.size());
+    return static_cast<int>(shard_.scenarios().size());
   }
   /// Scenario graph `s` (bounds-checked).
   const TaskGraph& scenario(int s) const {
-    return scenarios_.at(static_cast<std::size_t>(s));
+    return shard_.scenarios().at(static_cast<std::size_t>(s));
   }
   /// Per-scenario Pareto fronts: scenario_fronts()[s] holds that slice's
   /// front as ascending *flat* point indices (empty before front()).
   const std::vector<std::vector<std::size_t>>& scenario_fronts()
       const noexcept {
-    return scenario_fronts_;
+    return layout_.scenario_fronts;
   }
+  /// The whole result in the shared sweep layout — points(),
+  /// grid_point_count(), the extra parents and both front sets in one
+  /// value, the shape a served sweep (soc::svc::SweepResult) also has.
+  const SweepLayout& layout() const noexcept { return layout_; }
   /// Cached evaluation context of flat point `i` (scenario-major,
   /// bounds-checked); valid after evaluate().
   const EvalContext& context(std::size_t i) const { return *contexts_.at(i); }
@@ -371,29 +429,17 @@ class DseSession {
   bool validated() const noexcept { return validated_; }
 
  private:
-  /// Input validation + mapper resolution shared by both constructors.
-  void init_common();
   /// Serialized observer dispatch (no-op without an observer).
   void notify(const DsePoint& point, Stage stage);
 
-  DseProblem problem_;
-  ScenarioSet scenarios_;
-  DseSpace space_;
-  AnnealConfig anneal_;
-  DseConfig config_;
-  /// The per-point kernel (validation, mapper resolution, candidate
-  /// enumeration live here); shared verbatim with distributed workers.
-  std::unique_ptr<ShardEvaluator> shard_;
+  /// The per-point kernel and the single owner of the session's inputs
+  /// (validation, mapper resolution and candidate enumeration live here).
+  ShardEvaluator shard_;
   PointObserver observer_;
   std::mutex observer_mu_;
-  std::vector<DseCandidate> candidates_;
-  std::vector<std::unique_ptr<EvalContext>> contexts_;
-  std::size_t grid_points_ = 0;            ///< scenarios x candidates
-  std::vector<std::size_t> extra_parents_; ///< per extra: parent flat index
+  std::vector<std::unique_ptr<EvalContext>> contexts_;  ///< by flat index
   EvalCacheStats cache_stats_{};  ///< evaluate()-stage delta (see accessor)
-  std::vector<DsePoint> points_;
-  std::vector<std::size_t> front_;
-  std::vector<std::vector<std::size_t>> scenario_fronts_;
+  SweepLayout layout_;
   bool enumerated_ = false;
   bool evaluated_ = false;
   bool front_marked_ = false;

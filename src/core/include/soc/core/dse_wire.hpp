@@ -1,18 +1,18 @@
 #pragma once
 
 /// \file
-/// Canonical wire codecs for the distributed DSE sweep: every value that
-/// crosses the dsoc transport between a SweepCoordinator and its
-/// SweepWorkers (distributed_sweep.hpp) — the full sweep specification
-/// (SweepRequest) and the evaluated DsePoint stream — serialized over the
-/// typed 32-bit word streams of soc::dsoc::WireWriter/WireReader.
+/// Canonical wire codecs for served DSE sweeps: every value that crosses
+/// the dsoc transport between a soc::svc::DseClient and the DseService it
+/// submits to — the full sweep specification (SweepRequest) and the
+/// evaluated DsePoint stream — serialized over the typed 32-bit word
+/// streams of soc::dsoc::WireWriter/WireReader.
 ///
 /// The encoding follows the injective discipline of EvalCache's canonical
 /// keys: fixed-width scalars (doubles as IEEE-754 bit patterns), u64
 /// length-prefixed strings and containers, enums as the u32 of their
 /// underlying value (range-checked on decode). Equal values encode to equal
 /// word streams and decode back field-for-field bit-identical — the
-/// property the distributed sweep's byte-identical merge contract rests on.
+/// property a served sweep's byte-identity to a local DseSession rests on.
 ///
 /// Every wire_get overload throws std::invalid_argument on a truncated or
 /// malformed stream (out-of-range enum, axis name unknown to the
@@ -129,8 +129,8 @@ void wire_put(dsoc::WireWriter& w, const DsePoint& v);
 /// Decodes a DsePoint.
 void wire_get(dsoc::WireReader& r, DsePoint& v);
 
-/// The complete specification of one sweep, shipped once per worker at
-/// configure time: everything a ShardEvaluator constructor consumes.
+/// The complete specification of one sweep, shipped once per submission:
+/// everything a ShardEvaluator constructor consumes.
 struct SweepRequest {
   /// The problem under exploration. (TaskGraph has no default constructor,
   /// hence the explicit empty-named placeholder graph.)
@@ -141,8 +141,8 @@ struct SweepRequest {
   DseSpace space;
   /// Mapper knobs.
   AnnealConfig anneal;
-  /// Execution knobs. num_threads governs only the machine that runs it —
-  /// workers evaluate their ranges serially (workers are the parallelism).
+  /// Execution knobs. num_threads governs only a local DseSession run of
+  /// the request — a DseService evaluates it on its own pool.
   DseConfig config;
 };
 

@@ -56,12 +56,6 @@ struct EvalCacheStats {
   /// Member-wise difference against an earlier snapshot of the same cache —
   /// the per-sweep figure DseSession reports.
   EvalCacheStats delta_since(const EvalCacheStats& base) const noexcept;
-
-  /// Member-wise accumulation — aggregates per-shard deltas into one total,
-  /// the figure a distributed sweep's coordinator reports across its
-  /// workers' sessions (and what a scenario-set driver sums over per-slice
-  /// sweeps for true run totals).
-  EvalCacheStats& operator+=(const EvalCacheStats& other) noexcept;
 };
 
 /// Bounded, thread-safe memo of stage-1 evaluation products, shared across

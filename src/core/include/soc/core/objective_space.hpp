@@ -58,7 +58,7 @@ ObjectiveAxis make_objective(std::string_view name);
 /// Point j dominates point i when j is at least as good on every axis and
 /// strictly better on at least one, with "good" following each axis's
 /// direction; mark_front() applies that relation over a sweep's points
-/// exactly like the historical 3-axis mark_pareto_front did (infeasible
+/// exactly like the historical 3-axis front marker did (infeasible
 /// mappings neither dominate nor survive).
 class ObjectiveSpace {
  public:

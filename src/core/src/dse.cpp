@@ -2,11 +2,8 @@
 
 #include <sstream>
 #include <string>
-#include <utility>
 
 #include "dse_internal.hpp"
-#include "soc/core/dse_session.hpp"
-#include "soc/core/objective_space.hpp"
 
 namespace soc::core {
 
@@ -57,25 +54,6 @@ PlatformDesc make_candidate_platform(const DseCandidate& cand,
   return PlatformDesc(
       internal::candidate_pes(cand, config), cand.topology, cand.node,
       internal::candidate_physical_spec(cand, config, silicon.die_mm2));
-}
-
-std::vector<DsePoint> run_dse(const TaskGraph& graph, const DseSpace& space,
-                              const tech::ProcessNode& node,
-                              const ObjectiveWeights& weights,
-                              const AnnealConfig& anneal,
-                              const DseConfig& config) {
-  // Thin shim: the session with the default objective triple reproduces the
-  // monolith bit for bit (test_dse_session.cpp holds it to that).
-  DseSession session(
-      DseProblem{TaskGraph(graph), ObjectiveSpace::default_space(), weights,
-                 node},
-      space, anneal, config);
-  return session.run();
-}
-
-std::vector<std::size_t> mark_pareto_front(std::vector<DsePoint>& points,
-                                           const DseConfig& config) {
-  return ObjectiveSpace::default_space().mark_front(points, config);
 }
 
 std::string to_string(const DsePoint& p) {

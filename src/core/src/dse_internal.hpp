@@ -1,7 +1,7 @@
 #pragma once
 
 // Module-private validation helpers shared by the DSE translation units
-// (dse.cpp shims, objective_space.cpp, dse_session.cpp). Implemented in
+// (dse.cpp, objective_space.cpp, dse_session.cpp). Implemented in
 // dse_session.cpp. All throw std::invalid_argument naming the offending
 // field.
 
@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "soc/core/dse.hpp"
-#include "soc/core/objective_space.hpp"
 
 namespace soc::noc {
 class Topology;
@@ -56,30 +55,10 @@ std::vector<PeDesc> candidate_pes(const DseCandidate& cand,
 std::optional<noc::PhysicalSpec> candidate_physical_spec(
     const DseCandidate& cand, const DseConfig& config, double die_mm2);
 
-/// The two front index sets a sweep reports: the ascending aggregate and the
-/// per-scenario slices (both hold flat point indices).
-struct FrontMarking {
-  std::vector<std::size_t> aggregate;
-  std::vector<std::vector<std::size_t>> per_scenario;
-};
-
-/// Marks each scenario's Pareto front over `objectives` in place on
-/// `points` (the scenario-major grid of `nscen` x `ncand` followed by
-/// mapping-front extras in flat-parent order, located by `extra_parents`)
-/// and returns the front index sets. Dominance never crosses scenario
-/// slices. Shared by DseSession::front() and the distributed sweep's
-/// coordinator so both mark bit-identical fronts from bit-identical points.
-FrontMarking mark_scenario_fronts(std::vector<DsePoint>& points,
-                                  std::size_t grid_points,
-                                  const std::vector<std::size_t>& extra_parents,
-                                  std::size_t ncand, std::size_t nscen,
-                                  const ObjectiveSpace& objectives,
-                                  const DseConfig& config);
-
-/// Stage-2 tail shared by the session and the distributed workers: replays
-/// `pt.mapping` on `ctx`'s platform (consuming `topo` when the caller still
-/// holds stage 1's instance, else the deterministic rebuild) and stamps the
-/// point's validated/sim_* fields.
+/// Stage-2 tail shared by DseSession::validate and ShardEvaluator::validate:
+/// replays `pt.mapping` on `ctx`'s platform (consuming `topo` when the
+/// caller still holds stage 1's instance, else the deterministic rebuild)
+/// and stamps the point's validated/sim_* fields.
 void apply_validation(const EvalContext& ctx, DsePoint& pt,
                       const ValidatorConfig& vc,
                       std::unique_ptr<noc::Topology> topo);

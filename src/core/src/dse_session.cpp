@@ -1,6 +1,7 @@
 #include "soc/core/dse_session.hpp"
 
 #include <algorithm>
+#include <mutex>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -128,68 +129,6 @@ std::optional<noc::PhysicalSpec> candidate_physical_spec(
   if (!config.physical_links) return std::nullopt;
   return noc::PhysicalSpec{noc::LinkTimingModel(cand.node, config.link_timing),
                            die_mm2};
-}
-
-FrontMarking mark_scenario_fronts(std::vector<DsePoint>& points,
-                                  std::size_t grid_points,
-                                  const std::vector<std::size_t>& extra_parents,
-                                  std::size_t ncand, std::size_t nscen,
-                                  const ObjectiveSpace& objectives,
-                                  const DseConfig& config) {
-  FrontMarking out;
-  out.per_scenario.assign(nscen, {});
-  if (nscen == 1) {
-    // A single scenario spans every point — including any mapping-front
-    // extras, which compete with the grid on equal footing.
-    out.per_scenario[0] = objectives.mark_front(points, config);
-    out.aggregate = out.per_scenario[0];
-    return out;
-  }
-  // Dominance never crosses scenarios: each slice is marked on its own
-  // copy, flags are copied back, and the aggregate front is the ascending
-  // union of the offset per-slice fronts. A slice is its grid run plus
-  // its mapping-front extras — extras were appended in flat-parent order,
-  // so each scenario's run of the appended region is contiguous.
-  std::vector<std::size_t> extra_begin(nscen + 1, 0);
-  {
-    std::size_t e = 0;
-    for (std::size_t s = 0; s < nscen; ++s) {
-      extra_begin[s] = e;
-      while (e < extra_parents.size() && extra_parents[e] < (s + 1) * ncand) {
-        ++e;
-      }
-    }
-    extra_begin[nscen] = e;
-  }
-  for (std::size_t s = 0; s < nscen; ++s) {
-    std::vector<DsePoint> slice(
-        points.begin() + static_cast<std::ptrdiff_t>(s * ncand),
-        points.begin() + static_cast<std::ptrdiff_t>((s + 1) * ncand));
-    const std::size_t eb = extra_begin[s];
-    const std::size_t ee = extra_begin[s + 1];
-    for (std::size_t e = eb; e < ee; ++e) {
-      slice.push_back(points[grid_points + e]);
-    }
-    std::vector<std::size_t> idx = objectives.mark_front(slice, config);
-    for (std::size_t c = 0; c < ncand; ++c) {
-      points[s * ncand + c].pareto_optimal = slice[c].pareto_optimal;
-    }
-    for (std::size_t e = eb; e < ee; ++e) {
-      points[grid_points + e].pareto_optimal =
-          slice[ncand + (e - eb)].pareto_optimal;
-    }
-    for (std::size_t& k : idx) {
-      k = k < ncand ? s * ncand + k : grid_points + eb + (k - ncand);
-    }
-    out.aggregate.insert(out.aggregate.end(), idx.begin(), idx.end());
-    out.per_scenario[s] = std::move(idx);
-  }
-  // Extras of early scenarios carry later flat indices than later
-  // scenarios' grid points; restore the documented ascending order.
-  if (!extra_parents.empty()) {
-    std::sort(out.aggregate.begin(), out.aggregate.end());
-  }
-  return out;
 }
 
 void apply_validation(const EvalContext& ctx, DsePoint& pt,
@@ -468,44 +407,149 @@ SweepFronts ShardEvaluator::mark_fronts(
           std::to_string(parent) + " outside grid of " + std::to_string(grid));
     }
   }
-  internal::FrontMarking fm = internal::mark_scenario_fronts(
-      points, grid, extra_parents, candidates_.size(), scenarios_.size(),
-      problem_.objectives, config_);
-  return SweepFronts{std::move(fm.aggregate), std::move(fm.per_scenario)};
+  const ObjectiveSpace& objectives = problem_.objectives;
+  const std::size_t ncand = candidates_.size();
+  const std::size_t nscen = scenarios_.size();
+  SweepFronts out;
+  out.per_scenario.assign(nscen, {});
+  if (nscen == 1) {
+    // A single scenario spans every point — including any mapping-front
+    // extras, which compete with the grid on equal footing.
+    out.per_scenario[0] = objectives.mark_front(points, config_);
+    out.aggregate = out.per_scenario[0];
+    return out;
+  }
+  // Dominance never crosses scenarios: each slice is marked on its own
+  // copy, flags are copied back, and the aggregate front is the ascending
+  // union of the offset per-slice fronts. A slice is its grid run plus
+  // its mapping-front extras — extras sit in flat-parent order, so each
+  // scenario's run of the extra region is contiguous.
+  std::vector<std::size_t> extra_begin(nscen + 1, 0);
+  {
+    std::size_t e = 0;
+    for (std::size_t s = 0; s < nscen; ++s) {
+      extra_begin[s] = e;
+      while (e < extra_parents.size() && extra_parents[e] < (s + 1) * ncand) {
+        ++e;
+      }
+    }
+    extra_begin[nscen] = e;
+  }
+  for (std::size_t s = 0; s < nscen; ++s) {
+    std::vector<DsePoint> slice(
+        points.begin() + static_cast<std::ptrdiff_t>(s * ncand),
+        points.begin() + static_cast<std::ptrdiff_t>((s + 1) * ncand));
+    const std::size_t eb = extra_begin[s];
+    const std::size_t ee = extra_begin[s + 1];
+    for (std::size_t e = eb; e < ee; ++e) {
+      slice.push_back(points[grid + e]);
+    }
+    std::vector<std::size_t> idx = objectives.mark_front(slice, config_);
+    for (std::size_t c = 0; c < ncand; ++c) {
+      points[s * ncand + c].pareto_optimal = slice[c].pareto_optimal;
+    }
+    for (std::size_t e = eb; e < ee; ++e) {
+      points[grid + e].pareto_optimal = slice[ncand + (e - eb)].pareto_optimal;
+    }
+    for (std::size_t& k : idx) {
+      k = k < ncand ? s * ncand + k : grid + eb + (k - ncand);
+    }
+    out.aggregate.insert(out.aggregate.end(), idx.begin(), idx.end());
+    out.per_scenario[s] = std::move(idx);
+  }
+  // Extras of early scenarios carry later flat indices than later
+  // scenarios' grid points; restore the documented ascending order.
+  if (!extra_parents.empty()) {
+    std::sort(out.aggregate.begin(), out.aggregate.end());
+  }
+  return out;
+}
+
+// ------------------------------------------------------------ SweepLayout ---
+
+std::size_t SweepLayout::parent(std::size_t i) const {
+  if (i >= points.size()) {
+    throw std::out_of_range("SweepLayout::parent: point " + std::to_string(i) +
+                            " of " + std::to_string(points.size()));
+  }
+  return i < grid_points ? i : extra_parents.at(i - grid_points);
+}
+
+SweepLayout lay_out_sweep(SweepArrivals arrivals, std::size_t grid_points) {
+  std::vector<std::size_t>& flats = arrivals.flats;
+  const std::size_t n = flats.size();
+  if (arrivals.points.size() != n || arrivals.extras.size() != n) {
+    throw std::invalid_argument("lay_out_sweep: arrival vectors disagree");
+  }
+  std::vector<bool> seen(grid_points, false);
+  std::size_t nextras = 0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const std::size_t f = flats[k];
+    if (f >= grid_points || seen[f]) {
+      throw std::invalid_argument(
+          "lay_out_sweep: flat index " + std::to_string(f) +
+          (f >= grid_points ? " outside grid of " + std::to_string(grid_points)
+                            : " arrived twice"));
+    }
+    seen[f] = true;
+    nextras += arrivals.extras[k].size();
+  }
+  if (n != grid_points) {
+    const auto missing = std::find(seen.begin(), seen.end(), false);
+    throw std::invalid_argument(
+        "lay_out_sweep: grid point " +
+        std::to_string(missing - seen.begin()) + " never arrived");
+  }
+  // The flats are a permutation of the grid: follow its cycles so entry f
+  // holds flat index f. Arrivals in flat order move nothing.
+  for (std::size_t k = 0; k < n; ++k) {
+    while (flats[k] != k) {
+      const std::size_t f = flats[k];
+      std::swap(arrivals.points[k], arrivals.points[f]);
+      std::swap(arrivals.extras[k], arrivals.extras[f]);
+      std::swap(flats[k], flats[f]);
+    }
+  }
+  SweepLayout out;
+  out.grid_points = grid_points;
+  out.points = std::move(arrivals.points);
+  out.points.reserve(grid_points + nextras);
+  out.extra_parents.reserve(nextras);
+  for (std::size_t f = 0; f < grid_points; ++f) {
+    for (DsePoint& pt : arrivals.extras[f]) {
+      out.extra_parents.push_back(f);
+      out.points.push_back(std::move(pt));
+    }
+  }
+  return out;
 }
 
 // ------------------------------------------------------------- DseSession ---
 
-DseSession::DseSession(DseProblem problem, DseSpace space, AnnealConfig anneal,
-                       DseConfig config)
-    : problem_(std::move(problem)),
-      space_(std::move(space)),
-      anneal_(anneal),
-      config_(std::move(config)) {
-  if (problem_.graph.node_count() == 0) {
+namespace {
+
+/// The single-graph session's scenario set, checked first so an empty graph
+/// reports the historical single-graph message.
+ScenarioSet single_scenario(const DseProblem& problem) {
+  if (problem.graph.node_count() == 0) {
     throw std::invalid_argument("DseSession: task graph has no nodes");
   }
-  scenarios_ = ScenarioSet{problem_.graph};
-  init_common();
+  return ScenarioSet{problem.graph};
 }
 
+}  // namespace
+
+DseSession::DseSession(DseProblem problem, DseSpace space, AnnealConfig anneal,
+                       DseConfig config)
+    : shard_(problem, single_scenario(problem), std::move(space), anneal,
+             std::move(config)) {}
+
+// All up-front validation (config, objectives, space, scenarios, mapper
+// resolution) lives in the shared kernel.
 DseSession::DseSession(DseProblem problem, ScenarioSet scenarios,
                        DseSpace space, AnnealConfig anneal, DseConfig config)
-    : problem_(std::move(problem)),
-      scenarios_(std::move(scenarios)),
-      space_(std::move(space)),
-      anneal_(anneal),
-      config_(std::move(config)) {
-  init_common();
-}
-
-void DseSession::init_common() {
-  // All up-front validation (config, objectives, space, scenarios, mapper
-  // resolution) lives in the shared kernel — one checker for the session
-  // and the distributed sweep.
-  shard_ = std::make_unique<ShardEvaluator>(problem_, scenarios_, space_,
-                                            anneal_, config_);
-}
+    : shard_(std::move(problem), std::move(scenarios), std::move(space),
+             anneal, std::move(config)) {}
 
 void DseSession::on_point(PointObserver observer) {
   observer_ = std::move(observer);
@@ -517,106 +561,100 @@ void DseSession::notify(const DsePoint& point, Stage stage) {
   observer_(point, stage);
 }
 
+std::size_t DseSession::extra_parent(std::size_t i) const {
+  if (i < layout_.grid_points) {
+    throw std::out_of_range("DseSession::extra_parent: grid index");
+  }
+  return layout_.parent(i);
+}
+
 const std::vector<DseCandidate>& DseSession::enumerate() {
-  if (enumerated_) return candidates_;
-  candidates_ = shard_->candidates();
   enumerated_ = true;
-  return candidates_;
+  return shard_.candidates();
 }
 
 const std::vector<DsePoint>& DseSession::evaluate() {
-  if (evaluated_) return points_;
+  if (evaluated_) return layout_.points;
   enumerate();
   // Flat scenario-major layout: point s*C + c scores candidate c under
   // scenario s, and its RNG stream is derived from that flat index — with
   // one scenario this is exactly the historical per-candidate stream.
-  const std::size_t ncand = candidates_.size();
-  const std::size_t total = scenarios_.size() * ncand;
+  const std::size_t total = shard_.grid_point_count();
   contexts_.resize(total);
-  points_.assign(total, DsePoint{});
-  grid_points_ = total;
-  extra_parents_.clear();
-  // Mapping-front mode: non-canonical front members are collected per flat
-  // point and appended after the grid once the shards join, so the appended
-  // order is flat-index order regardless of thread interleaving.
-  std::vector<std::vector<DsePoint>> extras(
-      config_.mapping_fronts ? total : 0);
-  EvalCache* cache = config_.use_eval_cache ? &EvalCache::global() : nullptr;
+  SweepArrivals arrivals;
+  arrivals.reserve(total);
+  const DseConfig& config = shard_.config();
+  EvalCache* cache = config.use_eval_cache ? &EvalCache::global() : nullptr;
   const EvalCacheStats before = cache ? cache->stats() : EvalCacheStats{};
-  // The per-point work is the shared kernel — the same code a distributed
-  // sweep's workers run on the same flat indices, so the two streams are
-  // byte-identical by construction.
+  // The per-point work is the shared kernel — the same code DseService's
+  // pool runs on the same flat indices, so the two are byte-identical by
+  // construction. Arrivals land in completion order; lay_out_sweep puts
+  // them (and their mapping-front extras) in the flat layout afterwards.
   sim::parallel_for(
-      total, sim::ParallelConfig{config_.num_threads}, [&](std::size_t f) {
-        FlatPointEval r = shard_->evaluate(f);
+      total, sim::ParallelConfig{config.num_threads}, [&](std::size_t f) {
+        FlatPointEval r = shard_.evaluate(f);
         contexts_[f] = std::move(r.context);
-        points_[f] = std::move(r.point);
-        if (config_.mapping_fronts) extras[f] = std::move(r.extras);
-        notify(points_[f], Stage::kEvaluated);
+        const std::lock_guard<std::mutex> lock(observer_mu_);
+        arrivals.add(f, std::move(r.point), std::move(r.extras));
+        if (observer_) observer_(arrivals.points.back(), Stage::kEvaluated);
       });
-  for (std::size_t f = 0; f < extras.size(); ++f) {
-    for (DsePoint& pt : extras[f]) {
-      extra_parents_.push_back(f);
-      points_.push_back(std::move(pt));
-      notify(points_.back(), Stage::kEvaluated);
-    }
+  layout_ = lay_out_sweep(std::move(arrivals), total);
+  for (std::size_t i = layout_.grid_points; i < layout_.points.size(); ++i) {
+    notify(layout_.points[i], Stage::kEvaluated);
   }
   if (cache) cache_stats_ = cache->stats().delta_since(before);
   evaluated_ = true;
-  return points_;
+  return layout_.points;
 }
 
 const std::vector<std::size_t>& DseSession::front() {
-  if (front_marked_) return front_;
+  if (front_marked_) return layout_.front;
   evaluate();
-  // Shared marker: the distributed sweep's coordinator runs the same code
-  // over the same merged stream, so the two mark bit-identical fronts.
-  internal::FrontMarking fm = internal::mark_scenario_fronts(
-      points_, grid_points_, extra_parents_, candidates_.size(),
-      scenarios_.size(), problem_.objectives, config_);
-  front_ = std::move(fm.aggregate);
-  scenario_fronts_ = std::move(fm.per_scenario);
+  SweepFronts fronts =
+      shard_.mark_fronts(layout_.points, layout_.extra_parents);
+  layout_.front = std::move(fronts.aggregate);
+  layout_.scenario_fronts = std::move(fronts.per_scenario);
   front_marked_ = true;
-  return front_;
+  return layout_.front;
 }
 
 const std::vector<DsePoint>& DseSession::validate() {
-  if (validated_) return points_;
+  if (validated_) return layout_.points;
+  const DseConfig& config = shard_.config();
   // An explicit validate() arms the replay even when config.validate_pareto
   // never did — police the same knobs the constructor checks in that case
   // (MappingValidator's own checks miss warmup_cycles).
-  internal::validate_validator_config(config_.validation);
+  internal::validate_validator_config(config.validation);
   front();
   // Stage two: replay each survivor's stage-1 mapping (stored in the point)
   // on the event-driven NoC — on the very topology instance the context
   // built for stage 1 (take_topology), so nothing is rebuilt. Each
   // validation is a pure function of its point — the validator is RNG-free
   // — so sharding the front across threads cannot change any figure.
+  const std::vector<std::size_t>& front = layout_.front;
   sim::parallel_for(
-      front_.size(), sim::ParallelConfig{config_.num_threads},
+      front.size(), sim::ParallelConfig{config.num_threads},
       [&](std::size_t k) {
-        const std::size_t i = front_[k];
-        DsePoint& pt = points_[i];
+        const std::size_t i = front[k];
+        DsePoint& pt = layout_.points[i];
         // Mapping-front extras replay on their parent pair's context; only
         // the canonical grid point may consume the shared topology instance
         // (a concurrent extra would race the move), so extras fall back to
         // the deterministic PlatformDesc::build_topology() rebuild.
-        EvalContext& ctx =
-            *contexts_[i < grid_points_ ? i
-                                        : extra_parents_[i - grid_points_]];
+        EvalContext& ctx = *contexts_[layout_.parent(i)];
         internal::apply_validation(
-            ctx, pt, config_.validation,
-            i < grid_points_ ? ctx.take_topology() : nullptr);
+            ctx, pt, config.validation,
+            i < layout_.grid_points ? ctx.take_topology() : nullptr);
         notify(pt, Stage::kValidated);
       });
   validated_ = true;
-  return points_;
+  return layout_.points;
 }
 
 std::vector<DsePoint> DseSession::run() {
   front();
-  if (config_.validate_pareto) validate();
-  return points_;
+  if (shard_.config().validate_pareto) validate();
+  return layout_.points;
 }
 
 }  // namespace soc::core

@@ -111,16 +111,6 @@ EvalCacheStats EvalCacheStats::delta_since(
           evictions - base.evictions};
 }
 
-EvalCacheStats& EvalCacheStats::operator+=(
-    const EvalCacheStats& other) noexcept {
-  platform_hits += other.platform_hits;
-  platform_misses += other.platform_misses;
-  mapping_hits += other.mapping_hits;
-  mapping_misses += other.mapping_misses;
-  evictions += other.evictions;
-  return *this;
-}
-
 // --- EvalCache ---------------------------------------------------------------
 
 struct EvalCache::Impl {

@@ -187,8 +187,7 @@ std::vector<std::size_t> ObjectiveSpace::mark_front(
     throw std::logic_error("ObjectiveSpace::mark_front: no axes");
   }
   // Only the knobs the dominance pass uses: the stage-2 replay fields are
-  // inert here, so (like the historical mark_pareto_front) they are not
-  // policed.
+  // inert here, so they are not policed.
   internal::validate_exec_config(config);
   // Hoist the type-erased extractors out of the all-pairs pass: each
   // point's axis figures are read once into a row of `vals` (n*k extractor

@@ -34,7 +34,7 @@ class UnknownObjectError : public std::out_of_range {
 
 /// Object request broker directory. Owns the name -> ObjectRef map and
 /// performs transport attachment of skeletons (or any endpoint — e.g. the
-/// distributed sweep's workers). Runs over any tlm::MessageBus: the
+/// DSE service). Runs over any tlm::MessageBus: the
 /// simulated Transport or the threaded in-process LoopbackTransport.
 class Broker {
  public:
@@ -44,7 +44,7 @@ class Broker {
   /// Registers `skeleton` under `name` and attaches it to its terminal.
   ObjectRef register_object(const std::string& name, Skeleton& skeleton);
 
-  /// Generic registration: attaches any endpoint (a sweep worker, a test
+  /// Generic registration: attaches any endpoint (a service, a test
   /// double) at `terminal` under `name` with the given object id and
   /// interface name. Throws std::logic_error on a duplicate name.
   ObjectRef register_object(const std::string& name, tlm::Endpoint& endpoint,

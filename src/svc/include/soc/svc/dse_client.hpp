@@ -6,12 +6,17 @@
 /// DseClient is an endpoint that speaks the DseService protocol
 /// (soc/svc/dse_service.hpp): it submits SweepRequests, receives the
 /// streamed per-point results on its own terminal, invokes a streaming
-/// observer as each point lands, and assembles the finished sweep into
-/// the exact layout a single-machine DseSession produces — scenario-major
-/// grid, mapping-front extras in flat-parent order, pareto flags from the
-/// service's front marking, validated points overlaid. Waiting is
-/// explicit: submit() returns once the service accepts (or refuses) the
-/// sweep, wait() blocks until its completion message arrives.
+/// observer as each point lands, and assembles the finished sweep through
+/// core::lay_out_sweep into the exact layout a single-machine DseSession
+/// produces — pareto flags from the service's front marking, validated
+/// points overlaid. Waiting is explicit: submit() returns once the service
+/// accepts (or refuses) the sweep, wait() blocks until its completion
+/// message arrives.
+///
+/// Nothing read off the wire is trusted: the accepted grid size must match
+/// the request, and every point, validated and front index is range-checked
+/// before it is used; a violation fails the sweep (wait() throws a
+/// std::runtime_error naming the field).
 
 #include <chrono>
 #include <condition_variable>
@@ -21,6 +26,7 @@
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "soc/svc/dse_service.hpp"
@@ -42,21 +48,11 @@ class ServiceBusy : public std::runtime_error {
   std::uint32_t max_queued = 0;  ///< service queue capacity
 };
 
-/// A finished (or cancelled) sweep as assembled by DseClient::wait.
-/// points/front/scenario_fronts mirror DistributedSweepResult — and are
-/// byte-identical to a DseSession run of the same request.
-struct SweepResult {
-  /// Merged points: scenario-major grid, then mapping-front extras in
-  /// flat-parent order (empty on a cancelled sweep).
-  std::vector<core::DsePoint> points;
-  /// Size of the canonical grid (scenarios x candidates).
-  std::size_t grid_points = 0;
-  /// Per extra point: the flat grid index of its parent pair.
-  std::vector<std::size_t> extra_parents;
-  /// Aggregate front: ascending indices into `points`.
-  std::vector<std::size_t> front;
-  /// Per-scenario fronts (indices into `points`).
-  std::vector<std::vector<std::size_t>> scenario_fronts;
+/// A finished (or cancelled) sweep as assembled by DseClient::wait: the
+/// core::SweepLayout a DseSession run of the same request produces, byte
+/// for byte, plus the stream's own figures. A cancelled sweep carries only
+/// the grid points that streamed, ascending flat order, and no fronts.
+struct SweepResult : core::SweepLayout {
   /// The sweep was cancelled before completion.
   bool cancelled = false;
   /// Evaluations the service completed (equals the grid unless cancelled).
@@ -119,7 +115,7 @@ class DseClient final : public tlm::Endpoint {
     bool resolved = false;
     bool busy = false;
     std::uint32_t sweep_id = 0;
-    std::uint64_t grid = 0;
+    std::uint64_t request_grid = 0;  ///< the grid kAccepted must report
     std::uint32_t busy_active = 0, busy_queued = 0;
     std::uint32_t busy_max_active = 0, busy_max_queued = 0;
     std::string error;
@@ -130,9 +126,10 @@ class DseClient final : public tlm::Endpoint {
   /// An admitted sweep accumulating its stream.
   struct SweepState {
     std::uint64_t grid = 0;
-    std::map<std::uint64_t, core::DsePoint> grid_pts;
-    std::map<std::uint64_t, std::vector<core::DsePoint>> extras;
-    std::map<std::uint64_t, core::DsePoint> validated;
+    /// Stage-1 stream in arrival order (flat indices checked on arrival).
+    core::SweepArrivals arrivals;
+    /// Stage-2 overlays: (final-layout index, point), arrival order.
+    std::vector<std::pair<std::uint64_t, core::DsePoint>> validated;
     std::vector<std::size_t> front;
     std::vector<std::vector<std::size_t>> scenario_fronts;
     bool done = false;
@@ -153,6 +150,9 @@ class DseClient final : public tlm::Endpoint {
   void on_done(std::vector<std::uint32_t> args);
   void on_cancelled(std::vector<std::uint32_t> args);
   void on_error(std::vector<std::uint32_t> args);
+  /// Finishes `st` with `what` as its failure (the first failure wins) and
+  /// wakes its waiter.
+  void fail_locked(SweepState& st, std::string what);
   void send(dsoc::MethodId method, std::vector<std::uint32_t> args);
 
   tlm::MessageBus& bus_;

@@ -3,13 +3,15 @@
 /// \file
 /// Always-on DSE service: one daemon, many concurrent sweep clients.
 ///
-/// DseService is the long-running counterpart of the one-shot
-/// SweepCoordinator: it listens at a well-known terminal, accepts
-/// serialized SweepRequests from any number of clients, multiplexes the
-/// accepted sweeps onto one shared evaluation pool with per-client
-/// round-robin fairness, streams every evaluated point back to its owner
-/// as it lands, and reports the marked fronts in a final completion
-/// message. Admission is bounded: at most `max_active` sweeps run
+/// DseService is the one scheduler sweeps run on outside a local
+/// DseSession: it listens at a well-known terminal, accepts serialized
+/// SweepRequests from any number of clients, multiplexes the accepted
+/// sweeps onto one shared evaluation pool with per-client round-robin
+/// fairness (one flat index per pool claim), streams every evaluated point
+/// back to its owner as it lands, and reports the marked fronts in a final
+/// completion message. The same class serves a TCP daemon (dse_serve) and
+/// an in-process pool (`platform_dse --workers N`) on a loopback bus.
+/// Admission is bounded: at most `max_active` sweeps run
 /// concurrently, at most `max_queued` wait behind them, and anything
 /// beyond that is refused with a typed busy reply the client surfaces as
 /// ServiceBusy. A cancelled sweep stops being scheduled immediately and
@@ -18,8 +20,9 @@
 ///
 /// Every sweep's result is byte-identical to a single-machine DseSession
 /// run of the same problem: points come from the same ShardEvaluator
-/// kernel, fronts from the same marker (ShardEvaluator::mark_fronts), and
-/// stage-2 validation replays the same deterministic topologies.
+/// kernel, are laid out by the same core::lay_out_sweep, fronts come from
+/// the same marker (ShardEvaluator::mark_fronts), and stage-2 validation
+/// replays the same deterministic topologies.
 ///
 /// Protocol (all oneway dsoc calls; payload layouts in svc_method):
 ///
@@ -154,20 +157,20 @@ class DseService final : public tlm::Endpoint {
     bool failed = false;
     std::size_t next = 0;       ///< next flat index to hand out
     std::size_t completed = 0;  ///< evaluations recorded
-    std::size_t inflight = 0;   ///< pool units currently evaluating
 
-    std::vector<core::DsePoint> grid;                 ///< by flat index
-    std::vector<std::vector<core::DsePoint>> extras;  ///< by flat index
+    /// Phase-0 results in completion order (no grid is built up front).
+    core::SweepArrivals arrivals;
+    /// Laid out and front-marked at the phase-0 -> phase-1 transition;
+    /// phase 1 validates layout.front.
+    core::SweepLayout layout;
+    std::size_t vnext = 0;  ///< next layout.front entry to hand out
+    std::size_t vdone = 0;  ///< validations recorded
 
-    // Assembled at the phase-0 -> phase-1 transition (final layout).
-    std::vector<core::DsePoint> points;
-    std::vector<std::size_t> extra_parents;
-    std::vector<std::size_t> front;
-    std::vector<std::vector<std::size_t>> scenario_fronts;
-
-    std::vector<std::size_t> vqueue;  ///< front indices to validate
-    std::size_t vnext = 0;
-    std::size_t vdone = 0;
+    /// True while the sweep has an unclaimed evaluation or validation.
+    bool has_unit() const {
+      if (cancelled || failed) return false;
+      return phase == 0 ? next < total : vnext < layout.front.size();
+    }
   };
 
   /// One unit of pool work: an evaluation or a validation of one index.

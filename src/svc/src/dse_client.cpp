@@ -1,5 +1,7 @@
 #include "soc/svc/dse_client.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <utility>
 
 namespace soc::svc {
@@ -8,6 +10,38 @@ using core::DsePoint;
 using core::SweepRequest;
 
 namespace {
+
+/// The grid a service must report for `req`: the candidate axes' product
+/// (an empty node axis sweeps one node) times the scenario count.
+std::uint64_t request_grid(const SweepRequest& req) {
+  const core::DseSpace& s = req.space;
+  return std::uint64_t{std::max<std::size_t>(1, s.nodes.size())} *
+         s.pe_counts.size() * s.thread_counts.size() * s.topologies.size() *
+         s.fabrics.size() * req.scenarios.size();
+}
+
+/// Reads a u64-counted list of u64 indices, refusing a count the rest of
+/// the message cannot hold before anything is sized from it.
+std::vector<std::size_t> read_indices(dsoc::WireReader& r, const char* field) {
+  const std::uint64_t n = r.u64();
+  if (n > r.remaining() / 2) {
+    throw std::invalid_argument(std::string(field) +
+                                " count overruns the message");
+  }
+  std::vector<std::size_t> out(static_cast<std::size_t>(n));
+  for (std::size_t& i : out) i = static_cast<std::size_t>(r.u64());
+  return out;
+}
+
+/// Throws a std::runtime_error naming `field` unless index `i` is below
+/// `count`.
+void check_index(std::uint64_t i, std::size_t count, const char* field) {
+  if (i >= count) {
+    throw std::runtime_error("DseClient: " + std::string(field) + " index " +
+                             std::to_string(i) + " outside the sweep's " +
+                             std::to_string(count) + " points");
+  }
+}
 
 double ms_between(std::chrono::steady_clock::time_point a,
                   std::chrono::steady_clock::time_point b) {
@@ -54,6 +88,7 @@ std::uint32_t DseClient::submit(const SweepRequest& request,
     const std::lock_guard<std::mutex> lock(mu_);
     tag = next_tag_++;
     PendingSubmit& p = pending_[tag];
+    p.request_grid = request_grid(request);
     p.on_point = std::move(on_point);
     p.t_submit = std::chrono::steady_clock::now();
   }
@@ -91,16 +126,15 @@ SweepResult DseClient::wait(std::uint32_t id) {
     throw std::runtime_error("DseClient: unknown sweep id " +
                              std::to_string(id));
   }
-  SweepState& st = it->second;
-  cv_.wait(lock, [&st] { return st.done; });
+  cv_.wait(lock, [&it] { return it->second.done; });
+  SweepState st = std::move(it->second);
+  sweeps_.erase(it);
+  lock.unlock();
   if (!st.error.empty()) {
-    const std::string what = st.error;
-    sweeps_.erase(it);
-    throw std::runtime_error("DseClient: sweep failed: " + what);
+    throw std::runtime_error("DseClient: sweep failed: " + st.error);
   }
 
   SweepResult res;
-  res.grid_points = static_cast<std::size_t>(st.grid);
   res.cancelled = st.cancelled;
   res.points_evaluated = st.evaluated;
   res.points_streamed = st.streamed;
@@ -108,35 +142,39 @@ SweepResult DseClient::wait(std::uint32_t id) {
   res.time_to_first_point_ms =
       st.first_seen ? ms_between(st.t_submit, st.t_first) : res.wall_ms;
   if (st.cancelled) {
-    // Partial sweep: hand back whatever streamed, ascending flat order,
+    // Partial sweep: whatever grid points streamed, ascending flat order,
     // without front marking (the service never marked one).
-    for (auto& [flat, pt] : st.grid_pts) {
-      (void)flat;
-      res.points.push_back(std::move(pt));
+    res.grid_points = static_cast<std::size_t>(st.grid);
+    const std::vector<std::size_t>& flats = st.arrivals.flats;
+    std::vector<std::size_t> order(flats.size());
+    std::iota(order.begin(), order.end(), std::size_t{0});
+    std::sort(order.begin(), order.end(),
+              [&flats](std::size_t a, std::size_t b) {
+                return flats[a] < flats[b];
+              });
+    for (const std::size_t k : order) {
+      res.points.push_back(std::move(st.arrivals.points[k]));
     }
-    sweeps_.erase(it);
     return res;
   }
 
-  // Reassemble the session layout from the stream: the scenario-major
-  // grid first, then extras in flat-parent order.
-  res.points.reserve(st.grid_pts.size());
-  for (std::uint64_t f = 0; f < st.grid; ++f) {
-    const auto git = st.grid_pts.find(f);
-    if (git == st.grid_pts.end()) {
-      sweeps_.erase(it);
-      throw std::runtime_error("DseClient: incomplete stream: grid point " +
-                               std::to_string(f) + " never arrived");
-    }
-    res.points.push_back(std::move(git->second));
+  try {
+    static_cast<core::SweepLayout&>(res) = core::lay_out_sweep(
+        std::move(st.arrivals), static_cast<std::size_t>(st.grid));
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string("DseClient: incomplete stream: ") +
+                             e.what());
   }
-  for (std::uint64_t f = 0; f < st.grid; ++f) {
-    const auto eit = st.extras.find(f);
-    if (eit == st.extras.end()) continue;
-    for (DsePoint& pt : eit->second) {
-      res.extra_parents.push_back(static_cast<std::size_t>(f));
-      res.points.push_back(std::move(pt));
+  // Wire indices address the vector from here on: range-check them all.
+  const std::size_t count = res.points.size();
+  for (const std::size_t i : st.front) check_index(i, count, "kDone front");
+  for (const auto& sf : st.scenario_fronts) {
+    for (const std::size_t i : sf) {
+      check_index(i, count, "kDone scenario-front");
     }
+  }
+  for (const auto& v : st.validated) {
+    check_index(v.first, count, "kPoint validated");
   }
   res.front = std::move(st.front);
   res.scenario_fronts = std::move(st.scenario_fronts);
@@ -145,17 +183,12 @@ SweepResult DseClient::wait(std::uint32_t id) {
   // pareto_optimal flag, so replaying the index sets reproduces the
   // session's flags bit for bit.
   for (DsePoint& pt : res.points) pt.pareto_optimal = false;
-  for (const std::size_t i : res.front) {
-    if (i < res.points.size()) res.points[i].pareto_optimal = true;
-  }
+  for (const std::size_t i : res.front) res.points[i].pareto_optimal = true;
   // Stage-2 overlays re-streamed the full validated points (flags
   // included); they land last so sim_* figures survive.
   for (auto& [index, pt] : st.validated) {
-    if (index < res.points.size()) {
-      res.points[static_cast<std::size_t>(index)] = std::move(pt);
-    }
+    res.points[static_cast<std::size_t>(index)] = std::move(pt);
   }
-  sweeps_.erase(it);
   return res;
 }
 
@@ -169,6 +202,12 @@ void DseClient::handle(const tlm::Transaction& request, tlm::CompletionFn done) 
   } catch (const std::exception&) {
     return;  // not a protocol frame
   }
+  // kPoint and kDone lead with their sweep id, so even a malformed one
+  // can fail its sweep instead of leaving wait() blocked forever.
+  const bool names_sweep = (hdr.method == svc_method::kPoint ||
+                            hdr.method == svc_method::kDone) &&
+                           !args.empty();
+  const std::uint32_t sweep_id = names_sweep ? args[0] : 0;
   try {
     switch (hdr.method) {
       case svc_method::kAccepted:
@@ -192,9 +231,20 @@ void DseClient::handle(const tlm::Transaction& request, tlm::CompletionFn done) 
       default:
         break;
     }
+  } catch (const std::invalid_argument& e) {
+    // A decode failure. Never kill the dispatcher thread; other malformed
+    // messages cannot be attributed to a sweep and are dropped.
+    if (names_sweep) {
+      const std::lock_guard<std::mutex> lock(mu_);
+      if (const auto it = sweeps_.find(sweep_id); it != sweeps_.end()) {
+        fail_locked(it->second, std::string(hdr.method == svc_method::kPoint
+                                                ? "kPoint: "
+                                                : "kDone: ") +
+                                    e.what());
+      }
+    }
   } catch (const std::exception&) {
-    // A malformed service message cannot be attributed to a sweep; drop
-    // it rather than kill the dispatcher thread.
+    // E.g. a throwing observer: nothing to attribute, keep dispatching.
   }
   if (done) done(request);
 }
@@ -211,13 +261,19 @@ void DseClient::on_accepted(std::vector<std::uint32_t> args) {
   if (it == pending_.end()) return;
   it->second.resolved = true;
   it->second.sweep_id = id;
-  it->second.grid = grid;
   // Register the sweep *here*, before any kPoint of it can be decoded:
   // the service sends kAccepted first and the bus is FIFO per sender.
   SweepState& st = sweeps_[id];
-  st.grid = grid;
   st.on_point = it->second.on_point;
   st.t_submit = it->second.t_submit;
+  if (grid != it->second.request_grid) {
+    fail_locked(st, "kAccepted grid count " + std::to_string(grid) +
+                        " differs from the request's " +
+                        std::to_string(it->second.request_grid));
+  } else {
+    st.grid = grid;
+    st.arrivals.reserve(static_cast<std::size_t>(grid));
+  }
   cv_.notify_all();
 }
 
@@ -248,9 +304,10 @@ void DseClient::on_point_msg(std::vector<std::uint32_t> args) {
   const std::uint64_t index = r.u64();
   DsePoint pt;
   core::wire_get(r, pt);
+  // No reserve from the wire count: a bogus count fails on the first
+  // missing point instead of sizing an allocation.
   const std::uint64_t n_extras = r.u64();
   std::vector<DsePoint> extras;
-  extras.reserve(static_cast<std::size_t>(n_extras));
   for (std::uint64_t i = 0; i < n_extras; ++i) {
     DsePoint e;
     core::wire_get(r, e);
@@ -262,19 +319,33 @@ void DseClient::on_point_msg(std::vector<std::uint32_t> args) {
   {
     const std::lock_guard<std::mutex> lock(mu_);
     const auto it = sweeps_.find(id);
-    if (it == sweeps_.end()) return;  // cancelled-and-collected already
+    if (it == sweeps_.end() || it->second.done) return;
     SweepState& st = it->second;
+    if (stage != kStageEvaluated && stage != kStageValidated) {
+      fail_locked(st, "kPoint stage " + std::to_string(stage) + " unknown");
+      return;
+    }
+    if (stage == kStageEvaluated && index >= st.grid) {
+      fail_locked(st, "kPoint index " + std::to_string(index) +
+                          " outside grid of " + std::to_string(st.grid));
+      return;
+    }
     if (!st.first_seen) {
       st.first_seen = true;
       st.t_first = std::chrono::steady_clock::now();
     }
-    st.streamed += 1 + n_extras;
+    st.streamed += 1 + extras.size();
     observer = st.on_point;
+    // The observer reads the point after the lock drops; copy only then.
     if (stage == kStageValidated) {
-      st.validated[index] = pt;
+      st.validated.emplace_back(index, observer ? pt : std::move(pt));
     } else {
-      st.grid_pts[index] = pt;
-      if (!extras.empty()) st.extras[index] = extras;
+      const auto flat = static_cast<std::size_t>(index);
+      if (observer) {
+        st.arrivals.add(flat, pt, extras);
+      } else {
+        st.arrivals.add(flat, std::move(pt), std::move(extras));
+      }
     }
   }
   // Observer runs outside the lock: it may call cancel() or block.
@@ -287,20 +358,22 @@ void DseClient::on_point_msg(std::vector<std::uint32_t> args) {
 void DseClient::on_done(std::vector<std::uint32_t> args) {
   dsoc::WireReader r(args);
   const std::uint32_t id = r.u32();
-  std::vector<std::size_t> front(static_cast<std::size_t>(r.u64()));
-  for (std::size_t& i : front) i = static_cast<std::size_t>(r.u64());
-  std::vector<std::vector<std::size_t>> sfronts(
-      static_cast<std::size_t>(r.u64()));
-  for (auto& sf : sfronts) {
-    sf.resize(static_cast<std::size_t>(r.u64()));
-    for (std::size_t& i : sf) i = static_cast<std::size_t>(r.u64());
+  std::vector<std::size_t> front = read_indices(r, "kDone front");
+  const std::uint64_t nscen = r.u64();
+  if (nscen > r.remaining() / 2) {
+    throw std::invalid_argument("kDone scenario-front count overruns the "
+                                "message");
+  }
+  std::vector<std::vector<std::size_t>> sfronts;
+  for (std::uint64_t s = 0; s < nscen; ++s) {
+    sfronts.push_back(read_indices(r, "kDone scenario-front"));
   }
   const std::uint64_t evaluated = r.u64();
   r.u64();  // validated count: implied by the overlay stream
   r.expect_end();
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = sweeps_.find(id);
-  if (it == sweeps_.end()) return;
+  if (it == sweeps_.end() || it->second.done) return;
   SweepState& st = it->second;
   st.front = std::move(front);
   st.scenario_fronts = std::move(sfronts);
@@ -317,7 +390,7 @@ void DseClient::on_cancelled(std::vector<std::uint32_t> args) {
   r.expect_end();
   const std::lock_guard<std::mutex> lock(mu_);
   const auto it = sweeps_.find(id);
-  if (it == sweeps_.end()) return;
+  if (it == sweeps_.end() || it->second.done) return;
   SweepState& st = it->second;
   st.cancelled = true;
   st.evaluated = evaluated;
@@ -338,10 +411,16 @@ void DseClient::on_error(std::vector<std::uint32_t> args) {
     pit->second.error = what;
   }
   if (const auto sit = sweeps_.find(id); sit != sweeps_.end()) {
-    sit->second.error = what;
-    sit->second.done = true;
-    sit->second.t_done = std::chrono::steady_clock::now();
+    fail_locked(sit->second, what);
   }
+  cv_.notify_all();
+}
+
+void DseClient::fail_locked(SweepState& st, std::string what) {
+  if (st.done) return;
+  st.error = std::move(what);
+  st.done = true;
+  st.t_done = std::chrono::steady_clock::now();
   cv_.notify_all();
 }
 

@@ -179,8 +179,7 @@ void DseService::on_submit(std::vector<std::uint32_t> args) {
   job->id = next_sweep_id_++;
   job->client = client;
   job->tag = tag;
-  job->grid.assign(job->total, DsePoint{});
-  job->extras.assign(job->total, {});
+  job->arrivals.reserve(job->total);
   ++stats_.accepted;
   dsoc::WireWriter w;
   w.u32(tag);
@@ -278,25 +277,16 @@ void DseService::admit_queued_locked() {
 
 bool DseService::claim_unit_locked(const std::shared_ptr<Job>& job,
                                    WorkItem& out) {
-  if (job->cancelled || job->failed) return false;
-  if (job->phase == 0 && job->next < job->total) {
-    out.job = job;
-    out.phase = 0;
+  if (!job->has_unit()) return false;
+  out.job = job;
+  out.phase = job->phase;
+  if (job->phase == 0) {
     out.index = job->next++;
-    ++job->inflight;
-    return true;
+  } else {
+    out.index = job->layout.front[job->vnext++];
+    out.parent = job->layout.parent(out.index);
   }
-  if (job->phase == 1 && job->vnext < job->vqueue.size()) {
-    out.job = job;
-    out.phase = 1;
-    out.index = job->vqueue[job->vnext++];
-    out.parent = out.index < job->total
-                     ? out.index
-                     : job->extra_parents[out.index - job->total];
-    ++job->inflight;
-    return true;
-  }
-  return false;
+  return true;
 }
 
 bool DseService::take_work_locked(WorkItem& out) {
@@ -322,13 +312,9 @@ bool DseService::take_work_locked(WorkItem& out) {
 }
 
 bool DseService::have_work_locked() const {
-  for (const auto& [id, job] : active_) {
-    (void)id;
-    if (job->cancelled || job->failed) continue;
-    if (job->phase == 0 && job->next < job->total) return true;
-    if (job->phase == 1 && job->vnext < job->vqueue.size()) return true;
-  }
-  return false;
+  return std::any_of(active_.begin(), active_.end(), [](const auto& entry) {
+    return entry.second->has_unit();
+  });
 }
 
 void DseService::pool_loop() {
@@ -341,37 +327,28 @@ void DseService::pool_loop() {
       if (stop_) return;
       if (!take_work_locked(item)) continue;  // raced another thread
     }
-    if (item.phase == 0) {
-      FlatPointEval ev;
-      std::string error;
-      try {
+    // Run the unit outside the lock; record it (or the failure) under it.
+    FlatPointEval ev;  // a validation fills only ev.point
+    std::string error;
+    try {
+      if (item.phase == 0) {
         ev = item.job->shard->evaluate(item.index);
-      } catch (const std::exception& e) {
-        error = e.what();
+      } else {
+        ev.point = item.job->shard->validate(
+            item.parent, item.job->layout.points[item.index]);
       }
-      const std::lock_guard<std::mutex> lock(mu_);
-      --item.job->inflight;
-      if (!error.empty()) {
-        fail_locked(item.job, error);
-      } else if (!item.job->cancelled && !item.job->failed) {
-        record_eval_locked(item.job, item.index, std::move(ev));
-      }
+    } catch (const std::exception& e) {
+      error = e.what();
+    }
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (!error.empty()) {
+      fail_locked(item.job, error);
+    } else if (item.job->cancelled || item.job->failed) {
+      // Retired while the unit ran: drop its result.
+    } else if (item.phase == 0) {
+      record_eval_locked(item.job, item.index, std::move(ev));
     } else {
-      DsePoint pt;
-      std::string error;
-      try {
-        pt = item.job->shard->validate(item.parent,
-                                       item.job->points[item.index]);
-      } catch (const std::exception& e) {
-        error = e.what();
-      }
-      const std::lock_guard<std::mutex> lock(mu_);
-      --item.job->inflight;
-      if (!error.empty()) {
-        fail_locked(item.job, error);
-      } else if (!item.job->cancelled && !item.job->failed) {
-        record_validated_locked(item.job, item.index, std::move(pt));
-      }
+      record_validated_locked(item.job, item.index, std::move(ev.point));
     }
   }
 }
@@ -394,34 +371,21 @@ void DseService::stream_point_locked(const Job& job, std::uint32_t stage,
 
 void DseService::record_eval_locked(const std::shared_ptr<Job>& job,
                                     std::size_t flat, FlatPointEval ev) {
-  job->grid[flat] = std::move(ev.point);
-  job->extras[flat] = std::move(ev.extras);
+  stream_point_locked(*job, kStageEvaluated, flat, ev.point, ev.extras);
+  job->arrivals.add(flat, std::move(ev.point), std::move(ev.extras));
   ++job->completed;
-  stream_point_locked(*job, kStageEvaluated, flat, job->grid[flat],
-                      job->extras[flat]);
   if (job->completed == job->total) finish_phase0_locked(job);
 }
 
 void DseService::finish_phase0_locked(const std::shared_ptr<Job>& job) {
-  // Assemble the session layout: the grid, then extras in flat-parent
-  // order, then mark fronts with the session's own marker.
-  job->points = std::move(job->grid);
-  job->points.reserve(job->total);
-  for (std::size_t f = 0; f < job->total; ++f) {
-    for (DsePoint& pt : job->extras[f]) {
-      job->extra_parents.push_back(f);
-      job->points.push_back(std::move(pt));
-    }
-  }
-  job->grid.clear();
-  job->extras.clear();
+  // The session layout and the session's own front marker.
+  job->layout = core::lay_out_sweep(std::move(job->arrivals), job->total);
   core::SweepFronts fronts =
-      job->shard->mark_fronts(job->points, job->extra_parents);
-  job->front = std::move(fronts.aggregate);
-  job->scenario_fronts = std::move(fronts.per_scenario);
-  if (job->shard->config().validate_pareto && !job->front.empty()) {
+      job->shard->mark_fronts(job->layout.points, job->layout.extra_parents);
+  job->layout.front = std::move(fronts.aggregate);
+  job->layout.scenario_fronts = std::move(fronts.per_scenario);
+  if (job->shard->config().validate_pareto && !job->layout.front.empty()) {
     job->phase = 1;
-    job->vqueue = job->front;
     work_cv_.notify_all();
     return;
   }
@@ -430,19 +394,21 @@ void DseService::finish_phase0_locked(const std::shared_ptr<Job>& job) {
 
 void DseService::record_validated_locked(const std::shared_ptr<Job>& job,
                                          std::size_t index, DsePoint pt) {
-  job->points[index] = std::move(pt);
-  stream_point_locked(*job, kStageValidated, index, job->points[index], {});
+  job->layout.points[index] = std::move(pt);
+  stream_point_locked(*job, kStageValidated, index,
+                      job->layout.points[index], {});
   ++job->vdone;
-  if (job->vdone == job->vqueue.size()) complete_locked(job);
+  if (job->vdone == job->layout.front.size()) complete_locked(job);
 }
 
 void DseService::complete_locked(const std::shared_ptr<Job>& job) {
+  const core::SweepLayout& layout = job->layout;
   dsoc::WireWriter w;
   w.u32(job->id);
-  w.u64(job->front.size());
-  for (const std::size_t i : job->front) w.u64(i);
-  w.u64(job->scenario_fronts.size());
-  for (const auto& sf : job->scenario_fronts) {
+  w.u64(layout.front.size());
+  for (const std::size_t i : layout.front) w.u64(i);
+  w.u64(layout.scenario_fronts.size());
+  for (const auto& sf : layout.scenario_fronts) {
     w.u64(sf.size());
     for (const std::size_t i : sf) w.u64(i);
   }

@@ -3,15 +3,14 @@
 /// \file
 /// In-process loopback MessageBus over real host threads.
 ///
-/// The distributed DSE sweep (soc/core/distributed_sweep.hpp) marshals its
-/// traffic exactly as a multi-machine deployment would, but its workers are
-/// host threads in this process. LoopbackTransport is the bus that makes
-/// that real: each attached terminal owns a FIFO mailbox drained by a
+/// The DSE service (soc/svc/dse_service.hpp) marshals its traffic exactly
+/// as a TCP deployment would, but an in-process client and service are host
+/// threads of one process. LoopbackTransport is the bus that makes that
+/// real: each attached terminal owns a FIFO mailbox drained by a
 /// dedicated dispatcher thread, so endpoints at different terminals handle
 /// messages genuinely concurrently while each single endpoint sees a
 /// serialized, sender-ordered stream (the same per-terminal ordering the
-/// simulated Transport provides). Word counters meter bytes-on-wire for
-/// the shard-scaling bench.
+/// simulated Transport provides). Word counters meter bytes-on-wire.
 
 #include <atomic>
 #include <condition_variable>

@@ -28,7 +28,7 @@ class Endpoint {
 };
 
 /// The minimal message-passing surface the DSOC layer (broker, skeletons,
-/// proxies, sweep workers) is written against: endpoint attachment plus
+/// proxies, the DSE service) is written against: endpoint attachment plus
 /// one-way kMessage delivery. Two implementations exist — the simulated
 /// Transport below (messages ride NoC packets on the event queue) and
 /// tlm::LoopbackTransport (loopback.hpp: messages cross real host threads)

@@ -64,8 +64,8 @@ std::uint64_t LoopbackTransport::message(noc::TerminalId initiator,
   enqueued_.fetch_add(1, std::memory_order_release);
   box->cv.notify_one();
   if (delivered) {
-    // Completion callbacks are rare on this bus (the distributed sweep is
-    // fully one-way); keep the common path allocation-free by invoking the
+    // Completion callbacks are rare on this bus (the DSE service protocol
+    // is fully one-way); keep the common path allocation-free by invoking the
     // callback on the *sending* thread with the post-enqueue view. The
     // simulated Transport fires on true delivery instead; callers that
     // need that ordering poll their own protocol-level acks.

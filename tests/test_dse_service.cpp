@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -20,6 +21,7 @@
 
 #include "soc/core/dse_session.hpp"
 #include "soc/core/dse_wire.hpp"
+#include "soc/core/eval_cache.hpp"
 #include "soc/svc/dse_client.hpp"
 #include "soc/svc/dse_service.hpp"
 #include "soc/tlm/loopback.hpp"
@@ -312,6 +314,83 @@ TEST(DseService, StreamedSweepIsByteIdenticalToSession) {
   bus.shutdown();
 }
 
+// ------------------------------------- a sweep spread over the pool ---
+
+TEST(DistributedSweep, MergeIdenticalAcrossWorkersThreadsAndCache) {
+  // Pool width x the request's own thread knob x the eval memo: the served
+  // layout must not depend on any of them.
+  for (const bool cache : {true, false}) {
+    SweepRequest req = small_request(/*alt_scenario=*/true);
+    req.config.use_eval_cache = cache;
+    const SessionRef ref = run_reference(req);
+    for (const int pool : {1, 2, 4}) {
+      for (const int threads : {1, 3}) {
+        req.config.num_threads = threads;
+        const std::string what = "pool=" + std::to_string(pool) +
+                                 " threads=" + std::to_string(threads) +
+                                 " cache=" + std::to_string(cache);
+        tlm::LoopbackTransport bus;
+        DseServiceConfig cfg;
+        cfg.pool_threads = pool;
+        DseService service(bus, kServiceTerminal, cfg);
+        DseClient client(bus, 1);
+
+        std::atomic<std::uint64_t> streamed{0};
+        const std::uint32_t id = client.submit(
+            req, [&](std::uint64_t, const DsePoint&, bool) { ++streamed; });
+        const SweepResult res = client.wait(id);
+
+        expect_result_identical(res, ref, what);
+        EXPECT_FALSE(res.cancelled) << what;
+        EXPECT_EQ(streamed.load(), ref.grid_points) << what;
+        EXPECT_EQ(res.points_evaluated, ref.grid_points) << what;
+
+        service.stop();
+        bus.shutdown();
+      }
+    }
+  }
+}
+
+TEST(DistributedSweep, SharedCacheWarmAcrossRuns) {
+  // Two sweeps of one request on a 2-wide pool share the process-wide eval
+  // memo: the cold run builds every candidate once, the warm run rebuilds
+  // nothing and still reproduces the cold points bit for bit.
+  const SweepRequest req = small_request();
+  core::EvalCache& memo = core::EvalCache::global();
+  memo.clear();
+
+  tlm::LoopbackTransport bus;
+  DseServiceConfig cfg;
+  cfg.pool_threads = 2;
+  DseService service(bus, kServiceTerminal, cfg);
+  DseClient client(bus, 1);
+
+  const core::EvalCacheStats base = memo.stats();
+  const SweepResult cold = client.wait(client.submit(req));
+  const core::EvalCacheStats mid = memo.stats();
+  const SweepResult warm = client.wait(client.submit(req));
+  const core::EvalCacheStats cold_stats = mid.delta_since(base);
+  const core::EvalCacheStats warm_stats = memo.stats().delta_since(mid);
+
+  // The pool claims each flat index exactly once: no re-evaluations.
+  EXPECT_EQ(cold_stats.platform_misses, cold.grid_points);
+  EXPECT_EQ(cold_stats.platform_hits, 0u);
+  EXPECT_EQ(warm_stats.platform_misses, 0u);
+  EXPECT_EQ(warm_stats.platform_hits, warm.grid_points);
+  ASSERT_EQ(warm.points.size(), cold.points.size());
+  for (std::size_t i = 0; i < warm.points.size(); ++i) {
+    EXPECT_EQ(core::marshal_point(warm.points[i]),
+              core::marshal_point(cold.points[i]))
+        << "warm vs cold: point " << i << " diverged";
+  }
+  EXPECT_EQ(warm.front, cold.front);
+  EXPECT_EQ(warm.scenario_fronts, cold.scenario_fronts);
+
+  service.stop();
+  bus.shutdown();
+}
+
 TEST(DseService, ValidatedSweepOverlaysStageTwoPoints) {
   SweepRequest req = small_request();
   req.config.validate_pareto = true;
@@ -487,6 +566,133 @@ TEST(DseService, BrokerRegistrationResolvesByInterfaceName) {
 
   service.stop();
   bus.shutdown();
+}
+
+// -------------------------------------------- a client distrusts the wire ---
+
+/// One scripted service reply: the method and its argument words.
+struct ScriptedReply {
+  dsoc::MethodId method = 0;
+  std::vector<std::uint32_t> args;
+};
+
+/// A scripted stand-in for DseService at kServiceTerminal: it answers every
+/// kSubmit with the replies `script` builds for the submit's tag, verbatim
+/// — whatever grid counts and indices they carry.
+class FakeService final : public tlm::Endpoint {
+ public:
+  using Script = std::function<std::vector<ScriptedReply>(std::uint32_t)>;
+
+  FakeService(tlm::MessageBus& bus, Script script)
+      : bus_(bus), script_(std::move(script)) {
+    bus_.attach(kServiceTerminal, *this);
+  }
+
+  void handle(const tlm::Transaction& t, tlm::CompletionFn done) override {
+    std::vector<std::uint32_t> args;
+    const dsoc::CallHeader hdr = dsoc::unmarshal_call(t.payload, args);
+    if (hdr.method == svc_method::kSubmit) {
+      dsoc::WireReader r(args);
+      const noc::TerminalId client = r.u32();
+      const std::uint32_t tag = r.u32();
+      for (const ScriptedReply& reply : script_(tag)) {
+        dsoc::CallHeader out;
+        out.method = reply.method;
+        bus_.message(kServiceTerminal, client,
+                     dsoc::marshal_call(out, reply.args));
+      }
+    }
+    if (done) done(t);
+  }
+
+ private:
+  tlm::MessageBus& bus_;
+  Script script_;
+};
+
+constexpr std::uint32_t kFakeSweepId = 7;
+
+/// A complete scripted sweep: kAccepted reporting `grid`, one blank
+/// evaluated kPoint per entry of `indices`, then kDone whose aggregate and
+/// single scenario front are both `front`. Every stream ends in kDone, so
+/// a client that skipped a check would return from wait(), not hang.
+std::vector<ScriptedReply> sweep_replies(
+    std::uint32_t tag, std::uint64_t grid,
+    const std::vector<std::uint64_t>& indices,
+    const std::vector<std::uint64_t>& front) {
+  std::vector<ScriptedReply> out;
+  dsoc::WireWriter acc;
+  acc.u32(tag);
+  acc.u32(kFakeSweepId);
+  acc.u64(grid);
+  acc.boolean(false);
+  out.push_back({svc_method::kAccepted, acc.take()});
+  const DsePoint blank;
+  for (const std::uint64_t index : indices) {
+    dsoc::WireWriter w;
+    w.u32(kFakeSweepId);
+    w.u32(kStageEvaluated);
+    w.u64(index);
+    core::wire_put(w, blank);
+    w.u64(0);  // no extras
+    out.push_back({svc_method::kPoint, w.take()});
+  }
+  dsoc::WireWriter done;
+  const auto put_front = [&] {
+    done.u64(front.size());
+    for (const std::uint64_t i : front) done.u64(i);
+  };
+  done.u32(kFakeSweepId);
+  put_front();   // aggregate front
+  done.u64(1);   // one scenario front ...
+  put_front();   // ... equal to it
+  done.u64(indices.size());  // evaluated
+  done.u64(0);               // validated
+  out.push_back({svc_method::kDone, done.take()});
+  return out;
+}
+
+/// Submits small_request() (a 4-point grid) to a FakeService running
+/// `script` and returns what wait() threw ("" if it returned).
+std::string wait_error(FakeService::Script script) {
+  tlm::LoopbackTransport bus;
+  FakeService fake(bus, std::move(script));
+  DseClient client(bus, 1);
+  std::string error;
+  try {
+    (void)client.wait(client.submit(small_request()));
+  } catch (const std::runtime_error& e) {
+    error = e.what();
+  }
+  bus.shutdown();
+  return error;
+}
+
+TEST(DseClient, WrongAcceptedGridCountFailsTheSweep) {
+  const std::string error = wait_error([](std::uint32_t tag) {
+    return sweep_replies(tag, 5, {0, 1, 2, 3, 4}, {0});
+  });
+  EXPECT_NE(error.find("kAccepted grid count 5"), std::string::npos) << error;
+}
+
+TEST(DseClient, OutOfRangePointIndexFailsTheSweep) {
+  const std::string error = wait_error([](std::uint32_t tag) {
+    return sweep_replies(tag, 4, {0, 1u << 20, 1, 2, 3}, {0});
+  });
+  EXPECT_NE(error.find("kPoint index 1048576"), std::string::npos) << error;
+}
+
+TEST(DseClient, OutOfRangeFrontIndexFailsTheSweep) {
+  // The same stream with an in-range front is accepted, so the failure
+  // below is the front index alone.
+  EXPECT_EQ(wait_error([](std::uint32_t tag) {
+              return sweep_replies(tag, 4, {0, 1, 2, 3}, {1});
+            }),
+            "");
+  const std::string error = wait_error([](std::uint32_t tag) {
+    return sweep_replies(tag, 4, {0, 1, 2, 3}, {1, 9});
+  });
+  EXPECT_NE(error.find("kDone front index 9"), std::string::npos) << error;
 }
 
 // ------------------------------------------- the acceptance: real TCP ---

@@ -1,8 +1,7 @@
 // The session-oriented DSE API: staged execution, the pluggable
 // ObjectiveSpace dominance registry (energy axis included), the streaming
-// point observer, single-build topology reuse across both stages
-// (counter-backed), and the bit-exactness contract of the deprecated
-// run_dse / mark_pareto_front shims.
+// point observer, and single-build topology reuse across both stages
+// (counter-backed).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -46,7 +45,7 @@ DseProblem mjpeg_problem() {
 }
 
 /// Field-by-field bit equality of two DsePoints (doubles compared with ==,
-/// no tolerance — the shim contract is bit-exactness).
+/// no tolerance — the contract is bit-exactness).
 void expect_points_identical(const DsePoint& a, const DsePoint& b) {
   EXPECT_EQ(a.candidate.num_pes, b.candidate.num_pes);
   EXPECT_EQ(a.candidate.threads_per_pe, b.candidate.threads_per_pe);
@@ -401,9 +400,8 @@ TEST(DseSession, ValidatorKnobsRejectedOnlyWhenArmed) {
 }
 
 TEST(ObjectiveSpace, MarkFrontIgnoresInertReplayKnobs) {
-  // The dominance pass never simulates: like the historical
-  // mark_pareto_front, it polices num_threads/die_mm2 but not the stage-2
-  // replay fields.
+  // The dominance pass never simulates: it polices num_threads/die_mm2 but
+  // not the stage-2 replay fields.
   std::vector<DsePoint> pts(1);
   pts[0].mapping_cost.feasible = true;
   DseConfig dc;
@@ -738,79 +736,6 @@ TEST(DseSession, RejectsBadScenarioAndConstraintConfigByName) {
                           small_space());
       },
       "scenario 1");
-}
-
-// --------------------------------------------------- deprecated shim parity ---
-
-// The shims under test are deprecated on purpose; this suite is their
-// regression harness. Suppression is scoped to the two wrappers below — the
-// only expressions that touch a deprecated symbol — so an accidental shim
-// use anywhere else in these tests still warns (and, under -Werror, fails).
-
-/// run_dse with the deprecation warning silenced at the call site only.
-std::vector<DsePoint> run_dse_shim(const TaskGraph& graph,
-                                   const DseSpace& space,
-                                   const tech::ProcessNode& node,
-                                   const ObjectiveWeights& weights,
-                                   const AnnealConfig& anneal,
-                                   const DseConfig& config) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  return run_dse(graph, space, node, weights, anneal, config);
-#pragma GCC diagnostic pop
-}
-
-/// mark_pareto_front with the deprecation warning silenced at the call site
-/// only.
-std::vector<std::size_t> mark_pareto_front_shim(std::vector<DsePoint>& points) {
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  return mark_pareto_front(points);
-#pragma GCC diagnostic pop
-}
-
-TEST(DeprecatedShims, RunDseBitExactAgainstSessionForMappersAndThreads) {
-  // The back-compat property: run_dse must return bit-identical DsePoint
-  // vectors (every field) to the equivalent 3-axis DseSession run, for any
-  // registered mapper and any thread count, with validation on.
-  const auto graph = apps::mjpeg_task_graph();
-  const auto space = small_space();
-  const auto ac = quick_anneal();
-  for (const std::string mapper : {"anneal", "heft", "greedy"}) {
-    for (const int threads : {1, 3, 0}) {
-      SCOPED_TRACE(mapper + " threads=" + std::to_string(threads));
-      DseConfig dc;
-      dc.validate_pareto = true;
-      dc.num_threads = threads;
-      dc.mapper = mapper;
-      const auto shim =
-          run_dse_shim(graph, space, tech::node_90nm(), {}, ac, dc);
-      DseSession session(
-          DseProblem{graph, ObjectiveSpace::default_space(), {},
-                     tech::node_90nm()},
-          space, ac, dc);
-      const auto direct = session.run();
-      ASSERT_EQ(shim.size(), direct.size());
-      for (std::size_t i = 0; i < shim.size(); ++i) {
-        SCOPED_TRACE("point " + std::to_string(i));
-        expect_points_identical(shim[i], direct[i]);
-      }
-    }
-  }
-}
-
-TEST(DeprecatedShims, MarkParetoFrontMatchesDefaultObjectiveSpace) {
-  DseSession session(mjpeg_problem(), small_space(), quick_anneal());
-  session.evaluate();
-  auto via_shim = session.points();
-  auto via_space = session.points();
-  const auto front_shim = mark_pareto_front_shim(via_shim);
-  const auto front_space =
-      ObjectiveSpace::default_space().mark_front(via_space);
-  EXPECT_EQ(front_shim, front_space);
-  for (std::size_t i = 0; i < via_shim.size(); ++i) {
-    EXPECT_EQ(via_shim[i].pareto_optimal, via_space[i].pareto_optimal);
-  }
 }
 
 }  // namespace

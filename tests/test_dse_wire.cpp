@@ -1,8 +1,8 @@
-// Distributed sharded sweep: the merge contract (byte-identical to the
-// single-machine DseSession at any worker count, any thread count, cache on
-// or off), the dse_wire codecs (round-trip + malformed-input strictness),
-// and the coordinator/worker plumbing around them. Everything here is small
-// enough for the `quick` label — the sanitizer CI job races these threads.
+// The dse_wire codecs every served sweep crosses: round-trips of the full
+// sweep specification and the DsePoint stream, and strict rejection of
+// truncated, resized, mutated, or random word streams (seeded fuzzing).
+// Everything here is small enough for the `quick` label, so the sanitizer
+// CI jobs run all of it.
 
 #include <gtest/gtest.h>
 
@@ -11,11 +11,9 @@
 #include <string>
 #include <vector>
 
-#include "soc/core/distributed_sweep.hpp"
 #include "soc/core/dse_session.hpp"
 #include "soc/core/dse_wire.hpp"
 #include "soc/core/objective_space.hpp"
-#include "soc/tlm/loopback.hpp"
 
 namespace soc::core {
 namespace {
@@ -84,227 +82,6 @@ AnnealConfig small_anneal() {
 DseProblem small_problem(const TaskGraph& g) {
   return DseProblem{g, ObjectiveSpace::default_space(), ObjectiveWeights{},
                     tech::node_90nm()};
-}
-
-/// Byte-identity through the canonical codec: equal word streams prove
-/// every DsePoint field (doubles bit-for-bit) matches.
-void expect_points_identical(const std::vector<DsePoint>& got,
-                             const std::vector<DsePoint>& want,
-                             const std::string& what) {
-  ASSERT_EQ(got.size(), want.size()) << what;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    EXPECT_EQ(marshal_point(got[i]), marshal_point(want[i]))
-        << what << ": point " << i << " diverged";
-  }
-}
-
-struct SessionRef {
-  std::vector<DsePoint> points;
-  std::vector<std::size_t> front;
-  std::vector<std::vector<std::size_t>> scenario_fronts;
-  std::size_t grid_points = 0;
-  std::vector<std::size_t> extra_parents;
-};
-
-SessionRef run_reference(const DseProblem& problem,
-                         const ScenarioSet& scenarios, const DseSpace& space,
-                         const AnnealConfig& anneal, const DseConfig& config) {
-  DseSession session(problem, scenarios, space, anneal, config);
-  SessionRef ref;
-  ref.points = session.run();
-  ref.front = session.front();
-  ref.scenario_fronts = session.scenario_fronts();
-  ref.grid_points = session.grid_point_count();
-  for (std::size_t i = ref.grid_points; i < ref.points.size(); ++i) {
-    ref.extra_parents.push_back(session.extra_parent(i));
-  }
-  return ref;
-}
-
-// --------------------------------------------------------- merge contract ---
-
-TEST(DistributedSweep, MergeIdenticalAcrossWorkersThreadsAndCache) {
-  const TaskGraph g = small_pipeline();
-  const DseProblem problem = small_problem(g);
-  const ScenarioSet scenarios{g};
-  const DseSpace space = small_space();
-  const AnnealConfig anneal = small_anneal();
-
-  for (const bool cache : {true, false}) {
-    DseConfig config;
-    config.use_eval_cache = cache;
-    config.num_threads = 1;
-    const SessionRef ref =
-        run_reference(problem, scenarios, space, anneal, config);
-    ASSERT_EQ(ref.points.size(), 4u);
-    for (const int workers : {1, 2, 4}) {
-      for (const int threads : {1, 3}) {
-        DseConfig dc = config;
-        dc.num_threads = threads;
-        const DistributedSweepResult res =
-            run_distributed_sweep(problem, scenarios, space, anneal, dc,
-                                  workers);
-        const std::string what = "workers=" + std::to_string(workers) +
-                                 " threads=" + std::to_string(threads) +
-                                 " cache=" + std::to_string(cache);
-        expect_points_identical(res.points, ref.points, what);
-        EXPECT_EQ(res.front, ref.front) << what;
-        EXPECT_EQ(res.scenario_fronts, ref.scenario_fronts) << what;
-        EXPECT_EQ(res.grid_points, ref.grid_points) << what;
-        EXPECT_EQ(res.extra_parents, ref.extra_parents) << what;
-      }
-    }
-  }
-}
-
-TEST(DistributedSweep, ScenarioSetMergeIdentical) {
-  const TaskGraph g = small_pipeline();
-  const DseProblem problem = small_problem(g);
-  const ScenarioSet scenarios{g, second_scenario()};
-  const DseSpace space = small_space();
-  const AnnealConfig anneal = small_anneal();
-  const DseConfig config;
-
-  const SessionRef ref =
-      run_reference(problem, scenarios, space, anneal, config);
-  ASSERT_EQ(ref.grid_points, 8u);
-  ASSERT_EQ(ref.scenario_fronts.size(), 2u);
-  for (const int workers : {2, 3}) {
-    const DistributedSweepResult res =
-        run_distributed_sweep(problem, scenarios, space, anneal, config,
-                              workers);
-    const std::string what = "scenario-set workers=" + std::to_string(workers);
-    expect_points_identical(res.points, ref.points, what);
-    EXPECT_EQ(res.front, ref.front) << what;
-    EXPECT_EQ(res.scenario_fronts, ref.scenario_fronts) << what;
-  }
-}
-
-TEST(DistributedSweep, MappingFrontExtrasMergeIdentical) {
-  const TaskGraph g = small_pipeline();
-  const DseProblem problem = small_problem(g);
-  const ScenarioSet scenarios{g};
-  const DseSpace space = small_space();
-  AnnealConfig anneal = small_anneal();
-  anneal.iterations = 120;  // NSGA-II budget
-  DseConfig config;
-  config.mapper = "nsga2";
-  config.mapping_fronts = true;
-
-  const SessionRef ref =
-      run_reference(problem, scenarios, space, anneal, config);
-  ASSERT_GE(ref.points.size(), ref.grid_points);
-  for (const int workers : {1, 3}) {
-    const DistributedSweepResult res =
-        run_distributed_sweep(problem, scenarios, space, anneal, config,
-                              workers);
-    const std::string what = "map-fronts workers=" + std::to_string(workers);
-    expect_points_identical(res.points, ref.points, what);
-    EXPECT_EQ(res.extra_parents, ref.extra_parents) << what;
-    EXPECT_EQ(res.front, ref.front) << what;
-  }
-}
-
-TEST(DistributedSweep, ValidatedFrontMergeIdentical) {
-  const TaskGraph g = small_pipeline();
-  const DseProblem problem = small_problem(g);
-  const ScenarioSet scenarios{g};
-  DseSpace space = small_space();
-  space.pe_counts = {4};  // 2 candidates keeps stage 2 quick
-  const AnnealConfig anneal = small_anneal();
-  DseConfig config;
-  config.validate_pareto = true;
-  config.validation.warmup_cycles = 500;
-  config.validation.measure_cycles = 3000;
-
-  const SessionRef ref =
-      run_reference(problem, scenarios, space, anneal, config);
-  bool any_validated = false;
-  for (const std::size_t i : ref.front) any_validated |= ref.points[i].validated;
-  ASSERT_TRUE(any_validated);
-  for (const int workers : {1, 2}) {
-    const DistributedSweepResult res =
-        run_distributed_sweep(problem, scenarios, space, anneal, config,
-                              workers);
-    const std::string what = "validated workers=" + std::to_string(workers);
-    expect_points_identical(res.points, ref.points, what);
-    EXPECT_EQ(res.stats.points_validated, ref.front.size()) << what;
-  }
-}
-
-TEST(DistributedSweep, StatsAccounting) {
-  const TaskGraph g = small_pipeline();
-  const DseProblem problem = small_problem(g);
-  const ScenarioSet scenarios{g};
-  const DseSpace space = small_space();
-  const DistributedSweepResult res = run_distributed_sweep(
-      problem, scenarios, space, small_anneal(), DseConfig{}, 4);
-  EXPECT_EQ(res.stats.workers, 4);
-  EXPECT_EQ(res.grid_points, 4u);
-  // Dedup invariant: unique arrivals cover the grid exactly once.
-  EXPECT_EQ(res.stats.points_streamed - res.stats.duplicate_points,
-            res.grid_points);
-  EXPECT_GE(res.stats.ranges_issued, 4u);
-  EXPECT_GT(res.stats.words_on_wire, 0u);
-  EXPECT_GE(res.stats.wall_ms, res.stats.merge_ms);
-  // Loopback workers share the process cache and their range windows
-  // overlap in time, so the worker-reported sum can only meet or exceed
-  // the true process-wide delta (an event lands in every open window).
-  EXPECT_GE(res.worker_cache_stats.platform_hits +
-                res.worker_cache_stats.platform_misses,
-            res.cache_stats.platform_hits + res.cache_stats.platform_misses);
-}
-
-TEST(DistributedSweep, SharedCacheWarmAcrossRuns) {
-  const TaskGraph g = small_pipeline();
-  const DseProblem problem = small_problem(g);
-  const ScenarioSet scenarios{g};
-  const DseSpace space = small_space();
-  EvalCache::global().clear();
-  const DistributedSweepResult cold = run_distributed_sweep(
-      problem, scenarios, space, small_anneal(), DseConfig{}, 2);
-  const DistributedSweepResult warm = run_distributed_sweep(
-      problem, scenarios, space, small_anneal(), DseConfig{}, 2);
-  // Steal overlap may re-evaluate an index (a cache hit), so only the
-  // miss/coverage invariants are deterministic: the cold run builds every
-  // candidate at least once, the warm run rebuilds nothing.
-  EXPECT_GE(cold.cache_stats.platform_misses, cold.grid_points);
-  EXPECT_EQ(warm.cache_stats.platform_misses, 0u);
-  EXPECT_GE(warm.cache_stats.platform_hits, warm.grid_points);
-  expect_points_identical(warm.points, cold.points, "warm vs cold");
-}
-
-// ------------------------------------------------------------ bad inputs ---
-
-TEST(DistributedSweep, RejectsBadInputs) {
-  const TaskGraph g = small_pipeline();
-  const DseProblem problem = small_problem(g);
-  const DseSpace space = small_space();
-  EXPECT_THROW(run_distributed_sweep(problem, ScenarioSet{g}, space, {}, {},
-                                     0),
-               std::invalid_argument);
-  // Sweep-specification errors surface exactly as the session constructor
-  // would, before any worker traffic.
-  EXPECT_THROW(run_distributed_sweep(problem, ScenarioSet{}, space, {}, {}, 2),
-               std::invalid_argument);
-  DseSpace bad = space;
-  bad.pe_counts = {0};
-  EXPECT_THROW(run_distributed_sweep(problem, ScenarioSet{g}, bad, {}, {}, 2),
-               std::invalid_argument);
-}
-
-TEST(DistributedSweep, CoordinatorRequiresWorkers) {
-  tlm::LoopbackTransport bus;
-  dsoc::Broker broker(bus);
-  SweepCoordinator coordinator(broker, bus, 0);
-  const TaskGraph g = small_pipeline();
-  EXPECT_THROW(
-      coordinator.run(SweepRequest{small_problem(g), ScenarioSet{g},
-                                   small_space(), AnnealConfig{}, DseConfig{}}),
-      std::logic_error);
-  EXPECT_THROW(coordinator.add_worker("no-such-worker"),
-               dsoc::UnknownObjectError);
-  bus.shutdown();
 }
 
 // ------------------------------------------------------------ wire codecs ---
