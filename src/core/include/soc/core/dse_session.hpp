@@ -178,6 +178,18 @@ struct SweepLayout {
   /// `i`: `i` itself on the grid, the recorded parent for an extra. Throws
   /// std::out_of_range when `i` is not below points.size().
   std::size_t parent(std::size_t i) const;
+
+  /// Sets both front index sets and every pareto_optimal flag: a point is
+  /// flagged exactly when it is on the aggregate front. Throws
+  /// std::invalid_argument, naming the set ("front index 9 ..." or
+  /// "scenario-front index 9 ..."), when an index is not below
+  /// points.size().
+  void set_fronts(SweepFronts fronts);
+
+  /// Overlays stage-2 point `validated` (which must say it was validated)
+  /// at index `i`. Throws std::invalid_argument, naming the index, unless
+  /// `i` is an aggregate-front member not validated yet.
+  void overlay_validated(std::size_t i, DsePoint validated);
 };
 
 /// Lays out one sweep's stage-1 arrivals, taken in any order: the grid in

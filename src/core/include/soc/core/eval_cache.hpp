@@ -16,9 +16,11 @@
 ///    for one (platform, work graph, weights, constraints, seed) tuple.
 ///
 /// Keys are canonical byte serializations of every input that can influence
-/// the memoized value — not hashes. Two keys are equal exactly when every
-/// serialized field is equal (fixed-width scalars, length-prefixed strings),
-/// so a hit can never return another candidate's result and the sweep's
+/// the memoized value — not hashes. They walk the same per-type member
+/// lists as the dse_wire codecs, so a member the wire carries is keyed too.
+/// Two keys are equal exactly when every serialized field is equal
+/// (fixed-width scalars, length-prefixed strings and containers), so a hit
+/// can never return another candidate's result and the sweep's
 /// bit-exactness contract survives caching: a warm sweep replays the cold
 /// sweep's DsePoint stream bit for bit (the property test in
 /// tests/test_eval_cache.cpp holds this at every thread count).
@@ -94,13 +96,14 @@ class EvalCache {
 
   /// Looks up a platform entry; counts a hit or a miss.
   std::optional<PlatformEntry> find_platform(const std::string& key);
-  /// Inserts a platform entry under `key`. First insert wins: a concurrent
-  /// duplicate (necessarily bit-identical, see the file comment) is dropped.
-  void store_platform(const std::string& key, PlatformEntry entry);
+  /// Inserts a platform entry under `key` (kept once, in the entry). First
+  /// insert wins: a concurrent duplicate (necessarily bit-identical, see the
+  /// file comment) is dropped.
+  void store_platform(std::string key, PlatformEntry entry);
   /// Looks up a mapping entry; counts a hit or a miss.
   std::optional<MappingEntry> find_mapping(const std::string& key);
   /// Inserts a mapping entry under `key` (first insert wins).
-  void store_mapping(const std::string& key, MappingEntry entry);
+  void store_mapping(std::string key, MappingEntry entry);
 
   /// Counter snapshot (monotonic; counters survive clear()).
   EvalCacheStats stats() const;
@@ -120,19 +123,19 @@ class EvalCache {
   static std::string platform_key(const DseCandidate& cand,
                                   const DseConfig& config);
 
-  /// Serializes a scenario graph's mapping-relevant content: per-node
-  /// work/state/kind/demand and allowed fabrics, per-edge endpoints and
-  /// payload. Names are excluded — two structurally identical scenarios
-  /// share their mapping results.
+  /// Serializes a scenario graph's mapping-relevant content: every TaskNode
+  /// and TaskEdge member the wire carries except names — two structurally
+  /// identical scenarios share their mapping results.
   static std::string graph_key(const TaskGraph& graph);
 
   /// Serializes one mapper run's identity on top of a platform and graph
   /// key: strategy name, objective weights, and constraint policy. For
-  /// stochastic strategies (`deterministic_mapper` false) the anneal knobs
-  /// and the derived per-point seed are appended — two points share a memo
-  /// entry only when their RNG streams are identical. Deterministic
-  /// strategies (greedy, heft — see Mapper::deterministic()) omit both, so
-  /// they hit across candidate indices, sweeps, and anneal budgets.
+  /// stochastic strategies (`deterministic_mapper` false) every anneal knob
+  /// (its seed included) and the derived per-point seed are appended — two
+  /// points share a memo entry only when their RNG streams are identical.
+  /// Deterministic strategies (greedy, heft — see Mapper::deterministic())
+  /// omit both, so they hit across candidate indices, sweeps, and anneal
+  /// budgets.
   static std::string mapping_key(const std::string& platform_key,
                                  const std::string& graph_key,
                                  std::string_view mapper,

@@ -1,9 +1,10 @@
 #pragma once
 
-// Module-private validation helpers shared by the DSE translation units
-// (dse.cpp, objective_space.cpp, dse_session.cpp). Implemented in
-// dse_session.cpp. All throw std::invalid_argument naming the offending
-// field.
+// Module-private helpers shared by the DSE translation units (dse.cpp,
+// objective_space.cpp, dse_session.cpp): input validation, which throws
+// std::invalid_argument naming the offending field, and the candidate,
+// dominance and replay steps every sweep path shares. Implemented in
+// dse_session.cpp, except the dominance pass (objective_space.cpp).
 
 #include <cstddef>
 #include <memory>
@@ -18,6 +19,7 @@ class Topology;
 
 namespace soc::core {
 class EvalContext;
+class ObjectiveSpace;
 }
 
 namespace soc::core::internal {
@@ -54,6 +56,23 @@ std::vector<PeDesc> candidate_pes(const DseCandidate& cand,
 /// never disagree on what "the candidate's platform" means.
 std::optional<noc::PhysicalSpec> candidate_physical_spec(
     const DseCandidate& cand, const DseConfig& config, double die_mm2);
+
+/// Each point's figure on every axis of `space`: one row of space.size()
+/// values per point, maximize axes negated so smaller is better throughout.
+std::vector<double> objective_rows(const ObjectiveSpace& space,
+                                   const std::vector<DsePoint>& points);
+
+/// Marks the Pareto front among the points at indices `among` (dominance
+/// never looks outside them) over `rows` (objective_rows of the same
+/// points), writing each one's pareto_optimal flag, and returns the front
+/// members in `among` order. Infeasible points are never on the front and
+/// never dominate. The all-pairs pass is sharded per point under
+/// `num_threads` from 256 points up (small fronts run inline); the result
+/// does not depend on thread count.
+std::vector<std::size_t> mark_front_among(std::vector<DsePoint>& points,
+                                          const std::vector<double>& rows,
+                                          const std::vector<std::size_t>& among,
+                                          int num_threads);
 
 /// Stage-2 tail shared by DseSession::validate and ShardEvaluator::validate:
 /// replays `pt.mapping` on `ctx`'s platform (consuming `topo` when the

@@ -168,7 +168,7 @@ EvalContext::EvalContext(const TaskGraph& graph, const DseCandidate& candidate,
     build_cold(config);
     return;
   }
-  const std::string key = EvalCache::platform_key(cand_, config);
+  std::string key = EvalCache::platform_key(cand_, config);
   if (auto hit = cache->find_platform(key)) {
     // Both topology builds skipped: the memoized PlatformDesc carries the
     // floorplanned matrices, and stage 2 rebuilds the (deterministic)
@@ -180,7 +180,8 @@ EvalContext::EvalContext(const TaskGraph& graph, const DseCandidate& candidate,
   build_cold(config);
   // A concurrent miss on the same key stores an identical entry (platforms
   // are pure functions of the key); first insert wins.
-  cache->store_platform(key, EvalCache::PlatformEntry{silicon_, platform_});
+  cache->store_platform(std::move(key),
+                        EvalCache::PlatformEntry{silicon_, platform_});
 }
 
 void EvalContext::build_cold(const DseConfig& config) {
@@ -342,7 +343,7 @@ FlatPointEval ShardEvaluator::evaluate(std::size_t flat) const {
       out.extras.push_back(std::move(pt));
     }
   } else if (cache_) {
-    const std::string mkey = EvalCache::mapping_key(
+    std::string mkey = EvalCache::mapping_key(
         platform_keys_[c], graph_keys_[s], mapper_->name(), problem_.weights,
         config_.constraints, anneal_, mapper_->deterministic(), seed);
     if (auto memo = cache_->find_mapping(mkey)) {
@@ -356,9 +357,9 @@ FlatPointEval ShardEvaluator::evaluate(std::size_t flat) const {
       sim::Rng rng(seed);
       out.point = evaluate_point(ctx, problem_.weights, *mapper_, rng,
                                  config_.constraints);
-      cache_->store_mapping(mkey, EvalCache::MappingEntry{
-                                      out.point.mapping,
-                                      out.point.mapping_cost});
+      cache_->store_mapping(std::move(mkey),
+                            EvalCache::MappingEntry{out.point.mapping,
+                                                    out.point.mapping_cost});
     }
   } else {
     sim::Rng rng(seed);
@@ -407,55 +408,30 @@ SweepFronts ShardEvaluator::mark_fronts(
           std::to_string(parent) + " outside grid of " + std::to_string(grid));
     }
   }
-  const ObjectiveSpace& objectives = problem_.objectives;
   const std::size_t ncand = candidates_.size();
   const std::size_t nscen = scenarios_.size();
+  const std::vector<double> rows =
+      internal::objective_rows(problem_.objectives, points);
   SweepFronts out;
-  out.per_scenario.assign(nscen, {});
-  if (nscen == 1) {
-    // A single scenario spans every point — including any mapping-front
-    // extras, which compete with the grid on equal footing.
-    out.per_scenario[0] = objectives.mark_front(points, config_);
-    out.aggregate = out.per_scenario[0];
-    return out;
-  }
-  // Dominance never crosses scenarios: each slice is marked on its own
-  // copy, flags are copied back, and the aggregate front is the ascending
-  // union of the offset per-slice fronts. A slice is its grid run plus
-  // its mapping-front extras — extras sit in flat-parent order, so each
-  // scenario's run of the extra region is contiguous.
-  std::vector<std::size_t> extra_begin(nscen + 1, 0);
-  {
-    std::size_t e = 0;
-    for (std::size_t s = 0; s < nscen; ++s) {
-      extra_begin[s] = e;
-      while (e < extra_parents.size() && extra_parents[e] < (s + 1) * ncand) {
-        ++e;
-      }
-    }
-    extra_begin[nscen] = e;
-  }
+  out.per_scenario.reserve(nscen);
+  // Dominance never crosses scenarios: each slice is marked on its own, by
+  // index over the one value matrix. A slice is its grid run plus its
+  // mapping-front extras, which compete with the grid on equal footing —
+  // extras sit in flat-parent order, so each scenario's run of the extra
+  // region is contiguous.
+  std::vector<std::size_t> slice;
+  std::size_t e = 0;
   for (std::size_t s = 0; s < nscen; ++s) {
-    std::vector<DsePoint> slice(
-        points.begin() + static_cast<std::ptrdiff_t>(s * ncand),
-        points.begin() + static_cast<std::ptrdiff_t>((s + 1) * ncand));
-    const std::size_t eb = extra_begin[s];
-    const std::size_t ee = extra_begin[s + 1];
-    for (std::size_t e = eb; e < ee; ++e) {
-      slice.push_back(points[grid + e]);
+    slice.clear();
+    for (std::size_t c = 0; c < ncand; ++c) slice.push_back(s * ncand + c);
+    for (; e < extra_parents.size() && extra_parents[e] < (s + 1) * ncand;
+         ++e) {
+      slice.push_back(grid + e);
     }
-    std::vector<std::size_t> idx = objectives.mark_front(slice, config_);
-    for (std::size_t c = 0; c < ncand; ++c) {
-      points[s * ncand + c].pareto_optimal = slice[c].pareto_optimal;
-    }
-    for (std::size_t e = eb; e < ee; ++e) {
-      points[grid + e].pareto_optimal = slice[ncand + (e - eb)].pareto_optimal;
-    }
-    for (std::size_t& k : idx) {
-      k = k < ncand ? s * ncand + k : grid + eb + (k - ncand);
-    }
-    out.aggregate.insert(out.aggregate.end(), idx.begin(), idx.end());
-    out.per_scenario[s] = std::move(idx);
+    out.per_scenario.push_back(internal::mark_front_among(
+        points, rows, slice, config_.num_threads));
+    out.aggregate.insert(out.aggregate.end(), out.per_scenario[s].begin(),
+                         out.per_scenario[s].end());
   }
   // Extras of early scenarios carry later flat indices than later
   // scenarios' grid points; restore the documented ascending order.
@@ -473,6 +449,42 @@ std::size_t SweepLayout::parent(std::size_t i) const {
                             " of " + std::to_string(points.size()));
   }
   return i < grid_points ? i : extra_parents.at(i - grid_points);
+}
+
+void SweepLayout::set_fronts(SweepFronts fronts) {
+  const auto check = [this](const std::vector<std::size_t>& set,
+                            const char* name) {
+    for (const std::size_t i : set) {
+      if (i >= points.size()) {
+        throw std::invalid_argument(
+            std::string(name) + " index " + std::to_string(i) +
+            " outside the sweep's " + std::to_string(points.size()) +
+            " points");
+      }
+    }
+  };
+  check(fronts.aggregate, "front");
+  for (const auto& slice : fronts.per_scenario) check(slice, "scenario-front");
+  for (DsePoint& pt : points) pt.pareto_optimal = false;
+  for (const std::size_t i : fronts.aggregate) points[i].pareto_optimal = true;
+  front = std::move(fronts.aggregate);
+  scenario_fronts = std::move(fronts.per_scenario);
+}
+
+void SweepLayout::overlay_validated(std::size_t i, DsePoint validated) {
+  // The flags equal front membership (set_fronts), and a point's own
+  // validated flag records its overlay, so both checks read point i alone:
+  // overlays of distinct points may run concurrently.
+  const char* refusal = i >= points.size()        ? "outside the sweep"
+                        : !points[i].pareto_optimal ? "not on the front"
+                        : points[i].validated       ? "validated twice"
+                        : !validated.validated      ? "not validated"
+                                                    : nullptr;
+  if (refusal) {
+    throw std::invalid_argument("validated index " + std::to_string(i) + " " +
+                                refusal);
+  }
+  points[i] = std::move(validated);
 }
 
 SweepLayout lay_out_sweep(SweepArrivals arrivals, std::size_t grid_points) {
@@ -610,10 +622,7 @@ const std::vector<DsePoint>& DseSession::evaluate() {
 const std::vector<std::size_t>& DseSession::front() {
   if (front_marked_) return layout_.front;
   evaluate();
-  SweepFronts fronts =
-      shard_.mark_fronts(layout_.points, layout_.extra_parents);
-  layout_.front = std::move(fronts.aggregate);
-  layout_.scenario_fronts = std::move(fronts.per_scenario);
+  layout_.set_fronts(shard_.mark_fronts(layout_.points, layout_.extra_parents));
   front_marked_ = true;
   return layout_.front;
 }
@@ -636,7 +645,7 @@ const std::vector<DsePoint>& DseSession::validate() {
       front.size(), sim::ParallelConfig{config.num_threads},
       [&](std::size_t k) {
         const std::size_t i = front[k];
-        DsePoint& pt = layout_.points[i];
+        DsePoint pt = layout_.points[i];
         // Mapping-front extras replay on their parent pair's context; only
         // the canonical grid point may consume the shared topology instance
         // (a concurrent extra would race the move), so extras fall back to
@@ -646,6 +655,7 @@ const std::vector<DsePoint>& DseSession::validate() {
             ctx, pt, config.validation,
             i < layout_.grid_points ? ctx.take_topology() : nullptr);
         notify(pt, Stage::kValidated);
+        layout_.overlay_validated(i, std::move(pt));
       });
   validated_ = true;
   return layout_.points;

@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "dse_fields.hpp"
+
 namespace soc::core {
 
 namespace {
@@ -10,493 +12,143 @@ namespace {
 using dsoc::WireReader;
 using dsoc::WireWriter;
 
-// Enums travel as the u32 of their underlying value; decode rejects values
-// past the last enumerator so a corrupt stream can never smuggle an
-// impossible kind into a switch downstream.
-template <typename E>
-void put_enum(WireWriter& w, E e) {
-  w.u32(static_cast<std::uint32_t>(e));
+using Writer = fields::FieldWriter<WireWriter, true>;
+
+// The last enumerator of each enum the DSE values carry: decode rejects
+// anything past it, so a corrupt stream can never smuggle an impossible
+// kind into a switch downstream.
+constexpr auto last_enumerator(noc::TopologyKind) {
+  return noc::TopologyKind::kCrossbar;
+}
+constexpr auto last_enumerator(tech::Fabric) {
+  return tech::Fabric::kHardwired;
+}
+constexpr auto last_enumerator(ConstraintViolationKind) {
+  return ConstraintViolationKind::kUnmappedTask;
+}
+constexpr auto last_enumerator(noc::ReplayConfig::Mode) {
+  return noc::ReplayConfig::Mode::kClosedLoop;
 }
 
-template <typename E>
-E get_enum(WireReader& r, std::uint32_t last, const char* what) {
-  const std::uint32_t v = r.u32();
-  if (v > last) {
-    throw std::invalid_argument(std::string("dse_wire: ") + what +
-                                " enum value " + std::to_string(v) +
-                                " out of range");
+/// Decodes values through the member lists of dse_fields.hpp. Every
+/// accessor throws std::invalid_argument on a truncated or malformed
+/// stream: WireReader polices the scalars (canonical i32, boolean and
+/// string padding), this class the enum ranges and element counts.
+class Reader {
+ public:
+  explicit Reader(WireReader& r) : r_(r) {}
+
+  template <class... M>
+  void operator()(M&... m) {
+    (get(m), ...);
   }
-  return static_cast<E>(v);
-}
+  void label(std::string& s) { s = r_.str(); }
 
-template <typename T, typename Put>
-void put_vec(WireWriter& w, const std::vector<T>& v, Put put) {
-  w.u64(v.size());
-  for (const T& e : v) put(w, e);
-}
-
-// Element count is validated against the words actually left: every element
-// of any type costs at least one word, so a count beyond remaining() is a
-// lie about the stream and is rejected before any allocation sized by it.
-std::size_t get_count(WireReader& r, const char* what) {
-  const std::uint64_t n = r.u64();
-  if (n > r.remaining()) {
-    throw std::invalid_argument(std::string("dse_wire: ") + what + " count " +
-                                std::to_string(n) +
-                                " overruns the remaining stream");
+  void get(bool& v) { v = r_.boolean(); }
+  void get(std::int32_t& v) { v = r_.i32(); }
+  void get(std::uint32_t& v) { v = r_.u32(); }
+  void get(std::uint64_t& v) { v = r_.u64(); }
+  void get(double& v) { v = r_.f64(); }
+  void get(std::string& v) { v = r_.str(); }
+  void get(ObjectiveSpace& v) { v = ObjectiveSpace::from_names(r_.str()); }
+  void get(TaskGraph& v) {
+    TaskGraph g(r_.str());
+    std::vector<TaskNode> nodes;
+    get(nodes);
+    for (TaskNode& n : nodes) g.add_node(std::move(n));
+    std::vector<TaskEdge> edges;
+    get(edges);
+    for (const TaskEdge& e : edges) g.add_edge(e);
+    v = std::move(g);
   }
-  return static_cast<std::size_t>(n);
-}
-
-template <typename T, typename Get>
-void get_vec(WireReader& r, std::vector<T>& v, const char* what, Get get) {
-  const std::size_t n = get_count(r, what);
-  v.clear();
-  v.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    T e{};
-    get(r, e);
-    v.push_back(std::move(e));
+  // TaskGraph has no default constructor, so the scenario set cannot take
+  // the generic vector path below.
+  void get(ScenarioSet& v) {
+    const std::size_t n = count();
+    v.clear();
+    v.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) get(v.emplace_back(""));
   }
+  template <class E>
+    requires std::is_enum_v<E>
+  void get(E& v) {
+    const std::uint32_t raw = r_.u32();
+    if (raw > static_cast<std::uint32_t>(last_enumerator(E{}))) {
+      throw std::invalid_argument("dse_wire: enum value " +
+                                  std::to_string(raw) + " out of range");
+    }
+    v = static_cast<E>(raw);
+  }
+  template <class T>
+  void get(std::vector<T>& v) {
+    const std::size_t n = count();
+    v.clear();
+    v.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) get(v.emplace_back());
+  }
+  template <class T>
+    requires requires(Reader& rd, T& t) { fields::members(rd, t); }
+  void get(T& v) {
+    fields::members(*this, v);
+  }
+
+ private:
+  // Every element of any type costs at least one word, so a count beyond
+  // remaining() is a lie about the stream and is rejected before any
+  // allocation sized by it.
+  std::size_t count() {
+    const std::uint64_t n = r_.u64();
+    if (n > r_.remaining()) {
+      throw std::invalid_argument("dse_wire: element count " +
+                                  std::to_string(n) +
+                                  " overruns the remaining stream");
+    }
+    return static_cast<std::size_t>(n);
+  }
+
+  WireReader& r_;
+};
+
+template <class T>
+std::vector<std::uint32_t> marshal(const T& v) {
+  WireWriter w;
+  Writer{w}(v);
+  return w.take();
 }
 
-constexpr std::uint32_t kLastTopology =
-    static_cast<std::uint32_t>(noc::TopologyKind::kCrossbar);
-constexpr std::uint32_t kLastFabric =
-    static_cast<std::uint32_t>(tech::Fabric::kHardwired);
-constexpr std::uint32_t kLastViolationKind =
-    static_cast<std::uint32_t>(ConstraintViolationKind::kUnmappedTask);
-constexpr std::uint32_t kLastReplayMode =
-    static_cast<std::uint32_t>(noc::ReplayConfig::Mode::kClosedLoop);
+template <class T>
+T unmarshal(std::span<const std::uint32_t> words) {
+  WireReader r(words);
+  T v;
+  Reader{r}.get(v);
+  r.expect_end();
+  return v;
+}
 
 }  // namespace
 
-void wire_put(WireWriter& w, const tech::ProcessNode& v) {
-  w.str(v.name);
-  w.f64(v.feature_nm);
-  w.i32(v.year);
-  w.f64(v.vdd_v);
-  w.f64(v.fo4_ps);
-  w.f64(v.wire_r_ohm_per_mm);
-  w.f64(v.wire_c_ff_per_mm);
-  w.f64(v.density_mtx_mm2);
-  w.f64(v.mask_set_cost_usd);
-  w.f64(v.sram_bit_um2);
-  w.f64(v.leakage_rel);
-}
+void wire_put(WireWriter& w, const DsePoint& v) { Writer{w}(v); }
 
-void wire_get(WireReader& r, tech::ProcessNode& v) {
-  v.name = r.str();
-  v.feature_nm = r.f64();
-  v.year = r.i32();
-  v.vdd_v = r.f64();
-  v.fo4_ps = r.f64();
-  v.wire_r_ohm_per_mm = r.f64();
-  v.wire_c_ff_per_mm = r.f64();
-  v.density_mtx_mm2 = r.f64();
-  v.mask_set_cost_usd = r.f64();
-  v.sram_bit_um2 = r.f64();
-  v.leakage_rel = r.f64();
-}
+void wire_get(WireReader& r, DsePoint& v) { Reader{r}.get(v); }
 
-void wire_put(WireWriter& w, const TaskNode& v) {
-  w.str(v.name);
-  w.f64(v.work_ops);
-  w.f64(v.state_kbytes);
-  put_vec(w, v.allowed_fabrics,
-          [](WireWriter& ww, tech::Fabric f) { put_enum(ww, f); });
-  w.i32(v.kind);
-  w.f64(v.demand);
-}
+void wire_put(WireWriter& w, const SweepRequest& v) { Writer{w}(v); }
 
-void wire_get(WireReader& r, TaskNode& v) {
-  v.name = r.str();
-  v.work_ops = r.f64();
-  v.state_kbytes = r.f64();
-  get_vec(r, v.allowed_fabrics, "TaskNode.allowed_fabrics",
-          [](WireReader& rr, tech::Fabric& f) {
-            f = get_enum<tech::Fabric>(rr, kLastFabric, "Fabric");
-          });
-  v.kind = r.i32();
-  v.demand = r.f64();
-}
-
-void wire_put(WireWriter& w, const TaskEdge& v) {
-  w.i32(v.src);
-  w.i32(v.dst);
-  w.f64(v.words_per_item);
-}
-
-void wire_get(WireReader& r, TaskEdge& v) {
-  v.src = r.i32();
-  v.dst = r.i32();
-  v.words_per_item = r.f64();
-}
-
-void wire_put(WireWriter& w, const TaskGraph& v) {
-  w.str(v.name());
-  put_vec(w, v.nodes(),
-          [](WireWriter& ww, const TaskNode& n) { wire_put(ww, n); });
-  put_vec(w, v.edges(),
-          [](WireWriter& ww, const TaskEdge& e) { wire_put(ww, e); });
-}
-
-void wire_get(WireReader& r, TaskGraph& v) {
-  TaskGraph g(r.str());
-  std::vector<TaskNode> nodes;
-  get_vec(r, nodes, "TaskGraph.nodes",
-          [](WireReader& rr, TaskNode& n) { wire_get(rr, n); });
-  for (TaskNode& n : nodes) g.add_node(std::move(n));
-  std::vector<TaskEdge> edges;
-  get_vec(r, edges, "TaskGraph.edges",
-          [](WireReader& rr, TaskEdge& e) { wire_get(rr, e); });
-  for (const TaskEdge& e : edges) g.add_edge(e);
-  v = std::move(g);
-}
-
-void wire_put(WireWriter& w, const DseCandidate& v) {
-  w.i32(v.num_pes);
-  w.i32(v.threads_per_pe);
-  put_enum(w, v.topology);
-  put_enum(w, v.pe_fabric);
-  wire_put(w, v.node);
-}
-
-void wire_get(WireReader& r, DseCandidate& v) {
-  v.num_pes = r.i32();
-  v.threads_per_pe = r.i32();
-  v.topology = get_enum<noc::TopologyKind>(r, kLastTopology, "TopologyKind");
-  v.pe_fabric = get_enum<tech::Fabric>(r, kLastFabric, "Fabric");
-  wire_get(r, v.node);
-}
-
-void wire_put(WireWriter& w, const DseSpace& v) {
-  put_vec(w, v.nodes, [](WireWriter& ww, const tech::ProcessNode& n) {
-    wire_put(ww, n);
-  });
-  put_vec(w, v.pe_counts, [](WireWriter& ww, int p) { ww.i32(p); });
-  put_vec(w, v.thread_counts, [](WireWriter& ww, int t) { ww.i32(t); });
-  put_vec(w, v.topologies,
-          [](WireWriter& ww, noc::TopologyKind k) { put_enum(ww, k); });
-  put_vec(w, v.fabrics,
-          [](WireWriter& ww, tech::Fabric f) { put_enum(ww, f); });
-}
-
-void wire_get(WireReader& r, DseSpace& v) {
-  get_vec(r, v.nodes, "DseSpace.nodes",
-          [](WireReader& rr, tech::ProcessNode& n) { wire_get(rr, n); });
-  get_vec(r, v.pe_counts, "DseSpace.pe_counts",
-          [](WireReader& rr, int& p) { p = rr.i32(); });
-  get_vec(r, v.thread_counts, "DseSpace.thread_counts",
-          [](WireReader& rr, int& t) { t = rr.i32(); });
-  get_vec(r, v.topologies, "DseSpace.topologies",
-          [](WireReader& rr, noc::TopologyKind& k) {
-            k = get_enum<noc::TopologyKind>(rr, kLastTopology, "TopologyKind");
-          });
-  get_vec(r, v.fabrics, "DseSpace.fabrics",
-          [](WireReader& rr, tech::Fabric& f) {
-            f = get_enum<tech::Fabric>(rr, kLastFabric, "Fabric");
-          });
-}
-
-void wire_put(WireWriter& w, const AnnealConfig& v) {
-  w.i32(v.iterations);
-  w.f64(v.t_start);
-  w.f64(v.t_end);
-  w.u64(v.seed);
-}
-
-void wire_get(WireReader& r, AnnealConfig& v) {
-  v.iterations = r.i32();
-  v.t_start = r.f64();
-  v.t_end = r.f64();
-  v.seed = r.u64();
-}
-
-void wire_put(WireWriter& w, const ObjectiveWeights& v) {
-  w.f64(v.load);
-  w.f64(v.comm);
-  w.f64(v.energy);
-}
-
-void wire_get(WireReader& r, ObjectiveWeights& v) {
-  v.load = r.f64();
-  v.comm = r.f64();
-  v.energy = r.f64();
-}
-
-void wire_put(WireWriter& w, const MappingConstraints& v) {
-  w.boolean(v.enforce_kinds);
-  w.boolean(v.enforce_capacity);
-}
-
-void wire_get(WireReader& r, MappingConstraints& v) {
-  v.enforce_kinds = r.boolean();
-  v.enforce_capacity = r.boolean();
-}
-
-void wire_put(WireWriter& w, const ConstraintViolation& v) {
-  put_enum(w, v.kind);
-  w.i32(v.task);
-  w.i32(v.pe);
-  w.str(v.detail);
-}
-
-void wire_get(WireReader& r, ConstraintViolation& v) {
-  v.kind = get_enum<ConstraintViolationKind>(r, kLastViolationKind,
-                                             "ConstraintViolationKind");
-  v.task = r.i32();
-  v.pe = r.i32();
-  v.detail = r.str();
-}
-
-void wire_put(WireWriter& w, const MappingCost& v) {
-  w.f64(v.bottleneck_cycles);
-  w.f64(v.comm_word_hops);
-  w.f64(v.energy_pj_per_item);
-  w.f64(v.pipeline_latency);
-  w.boolean(v.feasible);
-  w.f64(v.objective);
-  put_vec(w, v.violations, [](WireWriter& ww, const ConstraintViolation& cv) {
-    wire_put(ww, cv);
-  });
-}
-
-void wire_get(WireReader& r, MappingCost& v) {
-  v.bottleneck_cycles = r.f64();
-  v.comm_word_hops = r.f64();
-  v.energy_pj_per_item = r.f64();
-  v.pipeline_latency = r.f64();
-  v.feasible = r.boolean();
-  v.objective = r.f64();
-  get_vec(r, v.violations, "MappingCost.violations",
-          [](WireReader& rr, ConstraintViolation& cv) { wire_get(rr, cv); });
-}
-
-void wire_put(WireWriter& w, const noc::NetworkConfig& v) {
-  w.u32(v.router_pipeline_cycles);
-  w.u32(v.link_latency_cycles);
-  w.u32(v.ni_latency_cycles);
-  w.u64(v.queue_capacity_pkts);
-  w.boolean(v.record_latency);
-}
-
-void wire_get(WireReader& r, noc::NetworkConfig& v) {
-  v.router_pipeline_cycles = r.u32();
-  v.link_latency_cycles = r.u32();
-  v.ni_latency_cycles = r.u32();
-  v.queue_capacity_pkts = static_cast<std::size_t>(r.u64());
-  v.record_latency = r.boolean();
-}
-
-void wire_put(WireWriter& w, const noc::LinkTimingModel::Config& v) {
-  w.f64(v.fo4_per_cycle);
-  w.i32(v.critical_paths);
-  w.f64(v.yield_target);
-  w.boolean(v.apply_guardband);
-}
-
-void wire_get(WireReader& r, noc::LinkTimingModel::Config& v) {
-  v.fo4_per_cycle = r.f64();
-  v.critical_paths = r.i32();
-  v.yield_target = r.f64();
-  v.apply_guardband = r.boolean();
-}
-
-void wire_put(WireWriter& w, const ValidatorConfig& v) {
-  put_enum(w, v.mode);
-  w.f64(v.load_factor);
-  w.i32(v.max_outstanding_rounds);
-  w.f64(v.words_per_flit);
-  wire_put(w, v.net);
-  w.u64(v.warmup_cycles);
-  w.u64(v.measure_cycles);
-  w.i32(v.top_hotspots);
-}
-
-void wire_get(WireReader& r, ValidatorConfig& v) {
-  v.mode = get_enum<noc::ReplayConfig::Mode>(r, kLastReplayMode,
-                                             "ReplayConfig::Mode");
-  v.load_factor = r.f64();
-  v.max_outstanding_rounds = r.i32();
-  v.words_per_flit = r.f64();
-  wire_get(r, v.net);
-  v.warmup_cycles = r.u64();
-  v.measure_cycles = r.u64();
-  v.top_hotspots = r.i32();
-}
-
-void wire_put(WireWriter& w, const DseConfig& v) {
-  w.i32(v.num_threads);
-  w.str(v.mapper);
-  w.boolean(v.validate_pareto);
-  wire_put(w, v.validation);
-  w.boolean(v.physical_links);
-  w.f64(v.die_mm2);
-  wire_put(w, v.link_timing);
-  wire_put(w, v.constraints);
-  w.i32(v.pe_kind_groups);
-  w.f64(v.pe_capacity);
-  w.boolean(v.mapping_fronts);
-  w.boolean(v.use_eval_cache);
-}
-
-void wire_get(WireReader& r, DseConfig& v) {
-  v.num_threads = r.i32();
-  v.mapper = r.str();
-  v.validate_pareto = r.boolean();
-  wire_get(r, v.validation);
-  v.physical_links = r.boolean();
-  v.die_mm2 = r.f64();
-  wire_get(r, v.link_timing);
-  wire_get(r, v.constraints);
-  v.pe_kind_groups = r.i32();
-  v.pe_capacity = r.f64();
-  v.mapping_fronts = r.boolean();
-  v.use_eval_cache = r.boolean();
-}
-
-void wire_put(WireWriter& w, const ObjectiveSpace& v) { w.str(v.names()); }
-
-void wire_get(WireReader& r, ObjectiveSpace& v) {
-  v = ObjectiveSpace::from_names(r.str());
-}
-
-void wire_put(WireWriter& w, const DseProblem& v) {
-  wire_put(w, v.graph);
-  wire_put(w, v.objectives);
-  wire_put(w, v.weights);
-  wire_put(w, v.node);
-}
-
-void wire_get(WireReader& r, DseProblem& v) {
-  wire_get(r, v.graph);
-  wire_get(r, v.objectives);
-  wire_get(r, v.weights);
-  wire_get(r, v.node);
-}
-
-void wire_put(WireWriter& w, const platform::PlatformCost& v) {
-  w.f64(v.pe_area_mm2);
-  w.f64(v.mem_area_mm2);
-  w.f64(v.noc_area_mm2);
-  w.f64(v.total_area_mm2);
-  w.f64(v.peak_dynamic_mw);
-  w.f64(v.leakage_mw);
-  w.f64(v.mask_nre_usd);
-  w.f64(v.die_mm2);
-  w.f64(v.noc_wire_mm);
-  w.f64(v.noc_wire_mw);
-  w.f64(v.noc_pipeline_mw);
-  w.u32(v.noc_max_extra_latency);
-}
-
-void wire_get(WireReader& r, platform::PlatformCost& v) {
-  v.pe_area_mm2 = r.f64();
-  v.mem_area_mm2 = r.f64();
-  v.noc_area_mm2 = r.f64();
-  v.total_area_mm2 = r.f64();
-  v.peak_dynamic_mw = r.f64();
-  v.leakage_mw = r.f64();
-  v.mask_nre_usd = r.f64();
-  v.die_mm2 = r.f64();
-  v.noc_wire_mm = r.f64();
-  v.noc_wire_mw = r.f64();
-  v.noc_pipeline_mw = r.f64();
-  v.noc_max_extra_latency = r.u32();
-}
-
-void wire_put(WireWriter& w, const DsePoint& v) {
-  wire_put(w, v.candidate);
-  wire_put(w, v.mapping_cost);
-  wire_put(w, v.silicon);
-  w.i32(v.scenario);
-  w.str(v.scenario_name);
-  put_vec(w, v.mapping, [](WireWriter& ww, int pe) { ww.i32(pe); });
-  w.str(v.mapper);
-  w.f64(v.throughput_per_kcycle);
-  w.f64(v.mw_per_throughput);
-  w.boolean(v.pareto_optimal);
-  w.boolean(v.validated);
-  w.f64(v.sim_throughput_per_kcycle);
-  w.f64(v.sim_to_analytic_ratio);
-  w.f64(v.sim_peak_link_utilization);
-  w.f64(v.sim_avg_packet_latency);
-  w.boolean(v.sim_network_saturated);
-}
-
-void wire_get(WireReader& r, DsePoint& v) {
-  wire_get(r, v.candidate);
-  wire_get(r, v.mapping_cost);
-  wire_get(r, v.silicon);
-  v.scenario = r.i32();
-  v.scenario_name = r.str();
-  get_vec(r, v.mapping, "DsePoint.mapping",
-          [](WireReader& rr, int& pe) { pe = rr.i32(); });
-  v.mapper = r.str();
-  v.throughput_per_kcycle = r.f64();
-  v.mw_per_throughput = r.f64();
-  v.pareto_optimal = r.boolean();
-  v.validated = r.boolean();
-  v.sim_throughput_per_kcycle = r.f64();
-  v.sim_to_analytic_ratio = r.f64();
-  v.sim_peak_link_utilization = r.f64();
-  v.sim_avg_packet_latency = r.f64();
-  v.sim_network_saturated = r.boolean();
-}
-
-void wire_put(WireWriter& w, const SweepRequest& v) {
-  wire_put(w, v.problem);
-  put_vec(w, v.scenarios,
-          [](WireWriter& ww, const TaskGraph& g) { wire_put(ww, g); });
-  wire_put(w, v.space);
-  wire_put(w, v.anneal);
-  wire_put(w, v.config);
-}
-
-void wire_get(WireReader& r, SweepRequest& v) {
-  wire_get(r, v.problem);
-  // TaskGraph lacks a default constructor, so the generic get_vec (which
-  // value-initializes elements) cannot decode the scenario set.
-  const std::size_t nscen = get_count(r, "SweepRequest.scenarios");
-  v.scenarios.clear();
-  v.scenarios.reserve(nscen);
-  for (std::size_t s = 0; s < nscen; ++s) {
-    TaskGraph g("");
-    wire_get(r, g);
-    v.scenarios.push_back(std::move(g));
-  }
-  wire_get(r, v.space);
-  wire_get(r, v.anneal);
-  wire_get(r, v.config);
-}
+void wire_get(WireReader& r, SweepRequest& v) { Reader{r}.get(v); }
 
 std::vector<std::uint32_t> marshal_sweep_request(const SweepRequest& req) {
-  WireWriter w;
-  wire_put(w, req);
-  return w.take();
+  return marshal(req);
 }
 
 SweepRequest unmarshal_sweep_request(std::span<const std::uint32_t> words) {
-  WireReader r(words);
-  SweepRequest req;
-  wire_get(r, req);
-  r.expect_end();
-  return req;
+  return unmarshal<SweepRequest>(words);
 }
 
 std::vector<std::uint32_t> marshal_point(const DsePoint& pt) {
-  WireWriter w;
-  wire_put(w, pt);
-  return w.take();
+  return marshal(pt);
 }
 
 DsePoint unmarshal_point(std::span<const std::uint32_t> words) {
-  WireReader r(words);
-  DsePoint pt;
-  wire_get(r, pt);
-  r.expect_end();
-  return pt;
+  return unmarshal<DsePoint>(words);
 }
 
 }  // namespace soc::core

@@ -1,48 +1,55 @@
 #include "soc/core/eval_cache.hpp"
 
 #include <atomic>
-#include <cstring>
 #include <list>
 #include <mutex>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
 
+#include "dse_fields.hpp"
+
 namespace soc::core {
 
 namespace {
 
-// --- canonical byte serialization -------------------------------------------
-// Fixed-width little-endian scalars and length-prefixed strings make the
-// encoding injective: equal keys imply equal inputs, field for field. Doubles
-// are serialized as their IEEE-754 bit patterns, so "same value" means the
-// bit-exact same value the evaluators will compute with.
+// --- canonical key bytes ------------------------------------------------------
+// The sink FieldWriter encodes keys onto: fixed-width scalars in host byte
+// order (keys never leave the process), one byte per boolean, and u64
+// length prefixes. Doubles go as their IEEE-754 bit patterns, so "same
+// value" means the bit-exact same value the evaluators will compute with.
+class KeySink {
+ public:
+  explicit KeySink(std::string& out) : out_(out) {}
 
-void put_u64(std::string& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  void u32(std::uint32_t v) { raw(v); }
+  void u64(std::uint64_t v) { raw(v); }
+  void i32(std::int32_t v) { raw(v); }
+  void f64(double v) { raw(v); }
+  void boolean(bool v) { out_.push_back(v ? '\1' : '\0'); }
+  void str(std::string_view s) {
+    u64(s.size());
+    out_.append(s);
   }
-}
 
-void put_i32(std::string& out, std::int32_t v) {
-  put_u64(out, static_cast<std::uint64_t>(static_cast<std::uint32_t>(v)));
-}
+ private:
+  template <class T>
+  void raw(T v) {
+    out_.append(reinterpret_cast<const char*>(&v), sizeof(v));
+  }
 
-void put_f64(std::string& out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, sizeof(bits));
-  put_u64(out, bits);
-}
+  std::string& out_;
+};
 
-void put_bool(std::string& out, bool v) { out.push_back(v ? '\1' : '\0'); }
-
-void put_str(std::string& out, std::string_view s) {
-  put_u64(out, s.size());
-  out.append(s);
-}
+/// Writes key fields; names are skipped (see dse_fields.hpp).
+using KeyWriter = fields::FieldWriter<KeySink, false>;
 
 // --- bounded LRU shard -------------------------------------------------------
 
+// Each key is stored once, in its list node; the index views it there
+// (list nodes never move, so the views stay valid until the node is
+// erased). A mapping key embeds its platform and graph keys (~1 KB), so a
+// second copy in the index would double a full shard's key bytes.
 template <typename V>
 class LruShard {
  public:
@@ -53,19 +60,19 @@ class LruShard {
     const auto it = index_.find(key);
     if (it == index_.end()) return std::nullopt;
     order_.splice(order_.begin(), order_, it->second);  // mark most recent
-    return it->second->second;
+    return it->second->value;
   }
 
   // First insert under a key wins; a later duplicate (identical by the
   // value-immutability argument in the header) is dropped.
-  void insert(const std::string& key, V value,
+  void insert(std::string key, V value,
               std::atomic<std::uint64_t>& evictions) {
     const std::lock_guard<std::mutex> lock(mu_);
     if (index_.find(key) != index_.end()) return;
-    order_.emplace_front(key, std::move(value));
-    index_.emplace(key, order_.begin());
+    order_.push_front(Entry{std::move(key), std::move(value)});
+    index_.emplace(order_.front().key, order_.begin());
     while (index_.size() > capacity_) {
-      index_.erase(order_.back().first);
+      index_.erase(order_.back().key);
       order_.pop_back();
       evictions.fetch_add(1, std::memory_order_relaxed);
     }
@@ -78,11 +85,15 @@ class LruShard {
   }
 
  private:
+  struct Entry {
+    std::string key;
+    V value;
+  };
+
   std::mutex mu_;
   std::size_t capacity_;
-  std::list<std::pair<std::string, V>> order_;  // front = most recently used
-  std::unordered_map<std::string, typename std::list<
-                                      std::pair<std::string, V>>::iterator>
+  std::list<Entry> order_;  // front = most recently used
+  std::unordered_map<std::string_view, typename std::list<Entry>::iterator>
       index_;
 };
 
@@ -151,8 +162,8 @@ std::optional<EvalCache::PlatformEntry> EvalCache::find_platform(
   return hit;
 }
 
-void EvalCache::store_platform(const std::string& key, PlatformEntry entry) {
-  impl_->platforms.insert(key, std::move(entry), impl_->evictions);
+void EvalCache::store_platform(std::string key, PlatformEntry entry) {
+  impl_->platforms.insert(std::move(key), std::move(entry), impl_->evictions);
 }
 
 std::optional<EvalCache::MappingEntry> EvalCache::find_mapping(
@@ -163,8 +174,8 @@ std::optional<EvalCache::MappingEntry> EvalCache::find_mapping(
   return hit;
 }
 
-void EvalCache::store_mapping(const std::string& key, MappingEntry entry) {
-  impl_->mappings.insert(key, std::move(entry), impl_->evictions);
+void EvalCache::store_mapping(std::string key, MappingEntry entry) {
+  impl_->mappings.insert(std::move(key), std::move(entry), impl_->evictions);
 }
 
 EvalCacheStats EvalCache::stats() const {
@@ -181,63 +192,32 @@ void EvalCache::clear() {
 }
 
 // --- key builders ------------------------------------------------------------
+// Each key opens with a schema tag (bump it on any change to what a key
+// covers) and walks the member lists of dse_fields.hpp, so a member added
+// there is keyed as soon as it is carried.
 
 std::string EvalCache::platform_key(const DseCandidate& cand,
                                     const DseConfig& config) {
   std::string k;
   k.reserve(224);
-  put_str(k, "soc-platform-v1");  // schema tag: bump on any field change
-  put_i32(k, cand.num_pes);
-  put_i32(k, cand.threads_per_pe);
-  put_i32(k, static_cast<std::int32_t>(cand.topology));
-  put_i32(k, static_cast<std::int32_t>(cand.pe_fabric));
-  // Every ProcessNode parameter: nodes differing in any electrical or
-  // economic figure never share an entry, even under one name.
-  put_str(k, cand.node.name);
-  put_f64(k, cand.node.feature_nm);
-  put_i32(k, cand.node.year);
-  put_f64(k, cand.node.vdd_v);
-  put_f64(k, cand.node.fo4_ps);
-  put_f64(k, cand.node.wire_r_ohm_per_mm);
-  put_f64(k, cand.node.wire_c_ff_per_mm);
-  put_f64(k, cand.node.density_mtx_mm2);
-  put_f64(k, cand.node.mask_set_cost_usd);
-  put_f64(k, cand.node.sram_bit_um2);
-  put_f64(k, cand.node.leakage_rel);
-  // DseConfig knobs that flow into estimate_cost, the floorplan, or the
-  // candidate PE pool.
-  put_bool(k, config.physical_links);
-  put_f64(k, config.die_mm2);
-  put_f64(k, config.link_timing.fo4_per_cycle);
-  put_i32(k, config.link_timing.critical_paths);
-  put_f64(k, config.link_timing.yield_target);
-  put_bool(k, config.link_timing.apply_guardband);
-  put_i32(k, config.pe_kind_groups);
-  put_f64(k, config.pe_capacity);
+  KeySink sink(k);
+  sink.str("soc-platform-v2");
+  // The candidate with every ProcessNode parameter (nodes differing in any
+  // electrical or economic figure never share an entry, even under one
+  // name), then the DseConfig knobs that flow into estimate_cost, the
+  // floorplan, or the candidate PE pool.
+  KeyWriter{sink}(cand, config.physical_links, config.die_mm2,
+                  config.link_timing, config.pe_kind_groups,
+                  config.pe_capacity);
   return k;
 }
 
 std::string EvalCache::graph_key(const TaskGraph& graph) {
   std::string k;
   k.reserve(64 + 64 * static_cast<std::size_t>(graph.node_count()));
-  put_str(k, "soc-graph-v1");
-  put_i32(k, graph.node_count());
-  for (const TaskNode& n : graph.nodes()) {
-    put_f64(k, n.work_ops);
-    put_f64(k, n.state_kbytes);
-    put_i32(k, n.kind);
-    put_f64(k, n.demand);
-    put_u64(k, n.allowed_fabrics.size());
-    for (const tech::Fabric f : n.allowed_fabrics) {
-      put_i32(k, static_cast<std::int32_t>(f));
-    }
-  }
-  put_i32(k, graph.edge_count());
-  for (const TaskEdge& e : graph.edges()) {
-    put_i32(k, e.src);
-    put_i32(k, e.dst);
-    put_f64(k, e.words_per_item);
-  }
+  KeySink sink(k);
+  sink.str("soc-graph-v2");
+  KeyWriter{sink}(graph);
   return k;
 }
 
@@ -250,25 +230,17 @@ std::string EvalCache::mapping_key(const std::string& platform_key,
                                    bool deterministic_mapper,
                                    std::uint64_t derived_seed) {
   std::string k;
-  k.reserve(platform_key.size() + graph_key.size() + 96);
-  put_str(k, "soc-mapping-v1");
-  put_str(k, platform_key);
-  put_str(k, graph_key);
-  put_str(k, mapper);
-  put_f64(k, weights.load);
-  put_f64(k, weights.comm);
-  put_f64(k, weights.energy);
-  put_bool(k, constraints.enforce_kinds);
-  put_bool(k, constraints.enforce_capacity);
-  put_bool(k, deterministic_mapper);
+  k.reserve(platform_key.size() + graph_key.size() + mapper.size() + 128);
+  KeySink sink(k);
+  sink.str("soc-mapping-v2");
+  KeyWriter key{sink};
+  key(platform_key, graph_key, mapper, weights, constraints,
+      deterministic_mapper);
   if (!deterministic_mapper) {
     // Stochastic strategies are functions of their RNG stream too: the
     // anneal schedule and the per-point derived seed pin the exact
     // trajectory, so a hit replays precisely the run it memoized.
-    put_i32(k, anneal.iterations);
-    put_f64(k, anneal.t_start);
-    put_f64(k, anneal.t_end);
-    put_u64(k, derived_seed);
+    key(anneal, derived_seed);
   }
   return k;
 }

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <mutex>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -189,53 +190,73 @@ std::vector<std::size_t> ObjectiveSpace::mark_front(
   // Only the knobs the dominance pass uses: the stage-2 replay fields are
   // inert here, so they are not policed.
   internal::validate_exec_config(config);
+  std::vector<std::size_t> all(points.size());
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  return internal::mark_front_among(
+      points, internal::objective_rows(*this, points), all,
+      config.num_threads);
+}
+
+namespace internal {
+
+std::vector<double> objective_rows(const ObjectiveSpace& space,
+                                   const std::vector<DsePoint>& points) {
   // Hoist the type-erased extractors out of the all-pairs pass: each
-  // point's axis figures are read once into a row of `vals` (n*k extractor
-  // calls), and the O(n^2) dominance loop below compares raw doubles.
-  // Sign-normalizing maximize axes here keeps that loop branch-free per
-  // axis without changing any comparison outcome.
-  const std::size_t n = points.size();
-  const std::size_t k = axes_.size();
-  std::vector<double> vals(n * k);
-  for (std::size_t i = 0; i < n; ++i) {
+  // point's axis figures are read once (n*k extractor calls), and the
+  // O(n^2) dominance loop compares raw doubles. Sign-normalizing maximize
+  // axes keeps that loop branch-free per axis without changing any
+  // comparison outcome.
+  const std::size_t k = space.size();
+  std::vector<double> rows(points.size() * k);
+  for (std::size_t i = 0; i < points.size(); ++i) {
     for (std::size_t a = 0; a < k; ++a) {
-      const double v = axes_[a].extract(points[i]);
-      vals[i * k + a] =
-          axes_[a].direction == ObjectiveDirection::kMinimize ? v : -v;
+      const ObjectiveAxis& axis = space.axes()[a];
+      const double v = axis.extract(points[i]);
+      rows[i * k + a] = axis.direction == ObjectiveDirection::kMinimize ? v : -v;
     }
   }
-  // Each point's dominance check reads every other point's figures but
-  // writes only its own pareto_optimal flag, so the all-pairs pass shards
-  // cleanly per point. The O(n^2) pass only outweighs pool dispatch on big
-  // sweeps; small fronts run inline.
-  const int threads = n < 256 ? 1 : config.num_threads;
-  sim::parallel_for(
-      n, sim::ParallelConfig{threads}, [&](std::size_t i) {
-        if (!points[i].mapping_cost.feasible) {
-          points[i].pareto_optimal = false;
-          return;
-        }
-        const double* vi = &vals[i * k];
-        bool dominated = false;
-        for (std::size_t j = 0; j < n && !dominated; ++j) {
-          if (i == j || !points[j].mapping_cost.feasible) continue;
-          const double* vj = &vals[j * k];
-          bool all_leq = true;
-          bool strictly = false;
-          for (std::size_t a = 0; a < k && all_leq; ++a) {
-            all_leq = vj[a] <= vi[a];
-            strictly = strictly || vj[a] < vi[a];
-          }
-          dominated = all_leq && strictly;
-        }
-        points[i].pareto_optimal = !dominated;
-      });
+  return rows;
+}
 
+std::vector<std::size_t> mark_front_among(std::vector<DsePoint>& points,
+                                          const std::vector<double>& rows,
+                                          const std::vector<std::size_t>& among,
+                                          int num_threads) {
+  const std::size_t m = among.size();
+  const std::size_t k = points.empty() ? 0 : rows.size() / points.size();
+  // Each point's dominance check reads every other member's figures but
+  // writes only its own pareto_optimal flag, so the all-pairs pass shards
+  // cleanly per point. It only outweighs pool dispatch on big slices.
+  const int threads = m < 256 ? 1 : num_threads;
+  sim::parallel_for(m, sim::ParallelConfig{threads}, [&](std::size_t p) {
+    DsePoint& pt = points[among[p]];
+    if (!pt.mapping_cost.feasible) {
+      pt.pareto_optimal = false;
+      return;
+    }
+    const double* vi = &rows[among[p] * k];
+    bool dominated = false;
+    for (std::size_t q = 0; q < m && !dominated; ++q) {
+      const std::size_t j = among[q];
+      if (q == p || !points[j].mapping_cost.feasible) continue;
+      const double* vj = &rows[j * k];
+      bool all_leq = true;
+      bool strictly = false;
+      for (std::size_t a = 0; a < k && all_leq; ++a) {
+        all_leq = vj[a] <= vi[a];
+        strictly = strictly || vj[a] < vi[a];
+      }
+      dominated = all_leq && strictly;
+    }
+    pt.pareto_optimal = !dominated;
+  });
   std::vector<std::size_t> front;
-  for (std::size_t i = 0; i < points.size(); ++i) {
+  for (const std::size_t i : among) {
     if (points[i].pareto_optimal) front.push_back(i);
   }
   return front;
 }
+
+}  // namespace internal
 
 }  // namespace soc::core

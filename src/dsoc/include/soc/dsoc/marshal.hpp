@@ -78,7 +78,7 @@ class WireWriter {
   void u32(std::uint32_t v) { words_.push_back(v); }
   /// Two words, low word first.
   void u64(std::uint64_t v);
-  /// Sign-preserving i32 (widened through u64 like EvalCache::put_i32).
+  /// Sign-preserving i32 (sign-extended through u64).
   void i32(std::int32_t v);
   /// IEEE-754 bit pattern via u64.
   void f64(double v);

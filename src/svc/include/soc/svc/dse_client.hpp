@@ -14,9 +14,10 @@
 /// message arrives.
 ///
 /// Nothing read off the wire is trusted: the accepted grid size must match
-/// the request, and every point, validated and front index is range-checked
-/// before it is used; a violation fails the sweep (wait() throws a
-/// std::runtime_error naming the field).
+/// the request, every point and front index is range-checked before it is
+/// used, and a validated point must overlay a front member, once; a
+/// violation fails the sweep (wait() throws a std::runtime_error naming the
+/// field).
 
 #include <chrono>
 #include <condition_variable>
@@ -130,8 +131,8 @@ class DseClient final : public tlm::Endpoint {
     core::SweepArrivals arrivals;
     /// Stage-2 overlays: (final-layout index, point), arrival order.
     std::vector<std::pair<std::uint64_t, core::DsePoint>> validated;
-    std::vector<std::size_t> front;
-    std::vector<std::vector<std::size_t>> scenario_fronts;
+    /// The index sets kDone reported (checked when laid out).
+    core::SweepFronts fronts;
     bool done = false;
     bool cancelled = false;
     std::string error;

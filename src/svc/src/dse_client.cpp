@@ -33,16 +33,6 @@ std::vector<std::size_t> read_indices(dsoc::WireReader& r, const char* field) {
   return out;
 }
 
-/// Throws a std::runtime_error naming `field` unless index `i` is below
-/// `count`.
-void check_index(std::uint64_t i, std::size_t count, const char* field) {
-  if (i >= count) {
-    throw std::runtime_error("DseClient: " + std::string(field) + " index " +
-                             std::to_string(i) + " outside the sweep's " +
-                             std::to_string(count) + " points");
-  }
-}
-
 double ms_between(std::chrono::steady_clock::time_point a,
                   std::chrono::steady_clock::time_point b) {
   return std::chrono::duration<double, std::milli>(b - a).count();
@@ -158,36 +148,20 @@ SweepResult DseClient::wait(std::uint32_t id) {
     return res;
   }
 
+  // Each wire-supplied step is checked by the layout; a refusal names the
+  // message it came from.
+  const char* stage = "incomplete stream: ";
   try {
     static_cast<core::SweepLayout&>(res) = core::lay_out_sweep(
         std::move(st.arrivals), static_cast<std::size_t>(st.grid));
-  } catch (const std::invalid_argument& e) {
-    throw std::runtime_error(std::string("DseClient: incomplete stream: ") +
-                             e.what());
-  }
-  // Wire indices address the vector from here on: range-check them all.
-  const std::size_t count = res.points.size();
-  for (const std::size_t i : st.front) check_index(i, count, "kDone front");
-  for (const auto& sf : st.scenario_fronts) {
-    for (const std::size_t i : sf) {
-      check_index(i, count, "kDone scenario-front");
+    stage = "kDone ";
+    res.set_fronts(std::move(st.fronts));
+    stage = "kPoint ";
+    for (auto& [index, pt] : st.validated) {
+      res.overlay_validated(static_cast<std::size_t>(index), std::move(pt));
     }
-  }
-  for (const auto& v : st.validated) {
-    check_index(v.first, count, "kPoint validated");
-  }
-  res.front = std::move(st.front);
-  res.scenario_fronts = std::move(st.scenario_fronts);
-  // The service marked fronts on its assembled copy *after* streaming the
-  // raw evaluations; membership in a front slice is exactly the
-  // pareto_optimal flag, so replaying the index sets reproduces the
-  // session's flags bit for bit.
-  for (DsePoint& pt : res.points) pt.pareto_optimal = false;
-  for (const std::size_t i : res.front) res.points[i].pareto_optimal = true;
-  // Stage-2 overlays re-streamed the full validated points (flags
-  // included); they land last so sim_* figures survive.
-  for (auto& [index, pt] : st.validated) {
-    res.points[static_cast<std::size_t>(index)] = std::move(pt);
+  } catch (const std::invalid_argument& e) {
+    throw std::runtime_error(std::string("DseClient: ") + stage + e.what());
   }
   return res;
 }
@@ -375,8 +349,7 @@ void DseClient::on_done(std::vector<std::uint32_t> args) {
   const auto it = sweeps_.find(id);
   if (it == sweeps_.end() || it->second.done) return;
   SweepState& st = it->second;
-  st.front = std::move(front);
-  st.scenario_fronts = std::move(sfronts);
+  st.fronts = {std::move(front), std::move(sfronts)};
   st.evaluated = evaluated;
   st.done = true;
   st.t_done = std::chrono::steady_clock::now();

@@ -380,10 +380,8 @@ void DseService::record_eval_locked(const std::shared_ptr<Job>& job,
 void DseService::finish_phase0_locked(const std::shared_ptr<Job>& job) {
   // The session layout and the session's own front marker.
   job->layout = core::lay_out_sweep(std::move(job->arrivals), job->total);
-  core::SweepFronts fronts =
-      job->shard->mark_fronts(job->layout.points, job->layout.extra_parents);
-  job->layout.front = std::move(fronts.aggregate);
-  job->layout.scenario_fronts = std::move(fronts.per_scenario);
+  job->layout.set_fronts(
+      job->shard->mark_fronts(job->layout.points, job->layout.extra_parents));
   if (job->shard->config().validate_pareto && !job->layout.front.empty()) {
     job->phase = 1;
     work_cv_.notify_all();
@@ -394,7 +392,7 @@ void DseService::finish_phase0_locked(const std::shared_ptr<Job>& job) {
 
 void DseService::record_validated_locked(const std::shared_ptr<Job>& job,
                                          std::size_t index, DsePoint pt) {
-  job->layout.points[index] = std::move(pt);
+  job->layout.overlay_validated(index, std::move(pt));
   stream_point_locked(*job, kStageValidated, index,
                       job->layout.points[index], {});
   ++job->vdone;

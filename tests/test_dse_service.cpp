@@ -613,13 +613,15 @@ class FakeService final : public tlm::Endpoint {
 constexpr std::uint32_t kFakeSweepId = 7;
 
 /// A complete scripted sweep: kAccepted reporting `grid`, one blank
-/// evaluated kPoint per entry of `indices`, then kDone whose aggregate and
-/// single scenario front are both `front`. Every stream ends in kDone, so
-/// a client that skipped a check would return from wait(), not hang.
+/// evaluated kPoint per entry of `indices`, one validated kPoint per entry
+/// of `validated`, then kDone whose aggregate and single scenario front are
+/// both `front`. Every stream ends in kDone, so a client that skipped a
+/// check would return from wait(), not hang.
 std::vector<ScriptedReply> sweep_replies(
     std::uint32_t tag, std::uint64_t grid,
     const std::vector<std::uint64_t>& indices,
-    const std::vector<std::uint64_t>& front) {
+    const std::vector<std::uint64_t>& front,
+    const std::vector<std::uint64_t>& validated = {}) {
   std::vector<ScriptedReply> out;
   dsoc::WireWriter acc;
   acc.u32(tag);
@@ -635,6 +637,18 @@ std::vector<ScriptedReply> sweep_replies(
     w.u64(index);
     core::wire_put(w, blank);
     w.u64(0);  // no extras
+    out.push_back({svc_method::kPoint, w.take()});
+  }
+  DsePoint replayed;
+  replayed.pareto_optimal = true;
+  replayed.validated = true;
+  for (const std::uint64_t index : validated) {
+    dsoc::WireWriter w;
+    w.u32(kFakeSweepId);
+    w.u32(kStageValidated);
+    w.u64(index);
+    core::wire_put(w, replayed);
+    w.u64(0);
     out.push_back({svc_method::kPoint, w.take()});
   }
   dsoc::WireWriter done;
@@ -693,6 +707,21 @@ TEST(DseClient, OutOfRangeFrontIndexFailsTheSweep) {
     return sweep_replies(tag, 4, {0, 1, 2, 3}, {1, 9});
   });
   EXPECT_NE(error.find("kDone front index 9"), std::string::npos) << error;
+}
+
+TEST(DseClient, ValidatedPointOffTheFrontFailsTheSweep) {
+  // Index 2 is a real point but not a front member: a stage-2 overlay
+  // there would replace an unvalidated point with a foreign one.
+  const std::string error = wait_error([](std::uint32_t tag) {
+    return sweep_replies(tag, 4, {0, 1, 2, 3}, {1}, {2});
+  });
+  EXPECT_NE(error.find("kPoint validated index 2"), std::string::npos)
+      << error;
+  // The same stream overlaying the front member is accepted.
+  EXPECT_EQ(wait_error([](std::uint32_t tag) {
+              return sweep_replies(tag, 4, {0, 1, 2, 3}, {1}, {1});
+            }),
+            "");
 }
 
 // ------------------------------------------- the acceptance: real TCP ---

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <ostream>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -141,6 +143,89 @@ TEST(DseWire, PointRoundTrip) {
   ASSERT_EQ(back.mapping_cost.violations.size(), 1u);
   EXPECT_EQ(back.mapping_cost.violations[0].task, -1);
   EXPECT_TRUE(back.sim_network_saturated);
+}
+
+/// A 128-bit digest of a word stream — two independent 64-bit lanes (FNV-1a
+/// and a multiply-xorshift mix) — plus its length, so a pinned encoding
+/// fits on a line and any drift in any word changes it.
+struct WordsDigest {
+  std::size_t words = 0;
+  std::uint64_t fnv = 0;
+  std::uint64_t mix = 0;
+  bool operator==(const WordsDigest&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const WordsDigest& d) {
+  return os << "{" << d.words << ", 0x" << std::hex << d.fnv << ", 0x"
+            << d.mix << std::dec << "}";
+}
+
+WordsDigest digest(const std::vector<std::uint32_t>& words) {
+  WordsDigest d{words.size(), 0xcbf29ce484222325ull, 0x9e3779b97f4a7c15ull};
+  for (const std::uint32_t w : words) {
+    d.fnv = (d.fnv ^ w) * 0x100000001b3ull;
+    d.mix = (d.mix ^ w) * 0xbf58476d1ce4e5b9ull;
+    d.mix ^= d.mix >> 31;
+  }
+  return d;
+}
+
+/// A point with every field set to a non-default value, violations and
+/// sim_* figures included.
+DsePoint full_point() {
+  DsePoint pt;
+  pt.candidate.num_pes = 12;
+  pt.candidate.threads_per_pe = 3;
+  pt.candidate.topology = noc::TopologyKind::kTorus2D;
+  pt.candidate.pe_fabric = tech::Fabric::kEfpga;
+  pt.candidate.node = tech::node_90nm();
+  pt.mapping_cost.bottleneck_cycles = 812.5;
+  pt.mapping_cost.comm_word_hops = 96.25;
+  pt.mapping_cost.energy_pj_per_item = 1234.0625;
+  pt.mapping_cost.pipeline_latency = 2048.75;
+  pt.mapping_cost.feasible = false;
+  pt.mapping_cost.objective = 1.0e6 + 0.5;
+  pt.mapping_cost.violations = {
+      ConstraintViolation{ConstraintViolationKind::kIncompatibleKind, 2, 5,
+                          "kind 1 on pe 5"},
+      ConstraintViolation{ConstraintViolationKind::kOverCapacity, -1, 7,
+                          "pe 7 over capacity"}};
+  pt.silicon.pe_area_mm2 = 21.5;
+  pt.silicon.mem_area_mm2 = 8.25;
+  pt.silicon.noc_area_mm2 = 3.125;
+  pt.silicon.total_area_mm2 = 32.875;
+  pt.silicon.peak_dynamic_mw = 950.5;
+  pt.silicon.leakage_mw = 120.25;
+  pt.silicon.mask_nre_usd = 1.5e6;
+  pt.silicon.die_mm2 = 40.0;
+  pt.silicon.noc_wire_mm = 61.75;
+  pt.silicon.noc_wire_mw = 14.5;
+  pt.silicon.noc_pipeline_mw = 2.25;
+  pt.silicon.noc_max_extra_latency = 3;
+  pt.scenario = 2;
+  pt.scenario_name = "pinned-scn";
+  pt.mapping = {0, 11, 4, 7, 7, 2};
+  pt.mapper = "anneal";
+  pt.throughput_per_kcycle = 1.2307;
+  pt.mw_per_throughput = 870.0625;
+  pt.pareto_optimal = true;
+  pt.validated = true;
+  pt.sim_throughput_per_kcycle = 1.0625;
+  pt.sim_to_analytic_ratio = 0.8633;
+  pt.sim_peak_link_utilization = 0.71875;
+  pt.sim_avg_packet_latency = 23.5;
+  pt.sim_network_saturated = true;
+  return pt;
+}
+
+TEST(DseWire, EncodingMatchesPinnedWords) {
+  // Round trips and fuzzing cannot see a format drift (a reordered or
+  // re-typed field still round-trips), so the words themselves are pinned.
+  // A change here breaks every client and daemon built before it.
+  EXPECT_EQ(digest(marshal_sweep_request(sample_request())),
+            (WordsDigest{342, 0xddf5eb728db041bbull, 0x31d0bc27dff52554ull}));
+  EXPECT_EQ(digest(marshal_point(full_point())),
+            (WordsDigest{128, 0x0479b7692fc0566cull, 0x5fc1a8d6f59d1d29ull}));
 }
 
 TEST(DseWire, EveryTruncationThrows) {
