@@ -223,7 +223,10 @@ int main(int argc, char** argv) {
     std::atomic<bool> sent{false};
     const std::uint32_t a = client.submit(
         heavy, [&](std::uint64_t, const core::DsePoint&, bool) {
-          if (!sent.exchange(true)) client.cancel(heavy_id.load());
+          if (sent.exchange(true)) return;
+          // The first point can land before submit() returns the id.
+          while (heavy_id.load() == 0) std::this_thread::yield();
+          client.cancel(heavy_id.load());
         });
     heavy_id.store(a);
     const std::uint32_t b =

@@ -20,11 +20,13 @@
 //
 // Exit codes: 0 success, 1 sweep/connection failure or --expect-local
 // mismatch, 2 usage error.
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "soc/apps/graphs.hpp"
@@ -223,7 +225,8 @@ int main(int argc, char** argv) {
         host, static_cast<std::uint16_t>(port));
     svc::DseClient client(*bus, static_cast<noc::TerminalId>(terminal));
     std::uint64_t seen = 0;
-    std::uint32_t sweep_id = 0;
+    // Set once submit() returns; a point can stream in before that.
+    std::atomic<std::uint32_t> sweep_id{0};
     const auto observer = [&](std::uint64_t index,
                               const core::DsePoint& pt, bool validated) {
       ++seen;
@@ -235,18 +238,20 @@ int main(int argc, char** argv) {
       }
       if (cancel_after > 0 &&
           seen == static_cast<std::uint64_t>(cancel_after)) {
-        client.cancel(sweep_id);
+        while (sweep_id.load() == 0) std::this_thread::yield();
+        client.cancel(sweep_id.load());
       }
     };
-    sweep_id = client.submit(request, observer);
-    std::printf("dse_client: sweep %u accepted (terminal %ld)\n", sweep_id,
+    const std::uint32_t id = client.submit(request, observer);
+    sweep_id = id;
+    std::printf("dse_client: sweep %u accepted (terminal %ld)\n", id,
                 terminal);
     std::fflush(stdout);
-    svc::SweepResult res = client.wait(sweep_id);
+    svc::SweepResult res = client.wait(id);
     if (res.cancelled) {
       std::printf("dse_client: sweep %u cancelled after %llu evaluations "
                   "(%llu points streamed)\n",
-                  sweep_id,
+                  id,
                   static_cast<unsigned long long>(res.points_evaluated),
                   static_cast<unsigned long long>(res.points_streamed));
       bus->shutdown();
@@ -254,7 +259,7 @@ int main(int argc, char** argv) {
     }
     std::printf("dse_client: sweep %u done: %zu points (%zu grid + %zu "
                 "extras), front %zu, first point %.1f ms, wall %.1f ms\n",
-                sweep_id, res.points.size(), res.grid_points,
+                id, res.points.size(), res.grid_points,
                 res.extra_parents.size(), res.front.size(),
                 res.time_to_first_point_ms, res.wall_ms);
 

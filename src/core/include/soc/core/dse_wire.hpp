@@ -59,6 +59,9 @@ void wire_get(dsoc::WireReader& r, SweepRequest& v);
 void wire_put(dsoc::WireWriter& w, const DsePoint& v);
 /// Decodes a DsePoint.
 void wire_get(dsoc::WireReader& r, DsePoint& v);
+/// The number of words wire_put(w, v) appends, so a message carrying
+/// points can be sized before it is written.
+std::size_t wire_words(const DsePoint& v);
 
 /// One-shot encode of a SweepRequest into a word payload.
 std::vector<std::uint32_t> marshal_sweep_request(const SweepRequest& req);

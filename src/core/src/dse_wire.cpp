@@ -14,6 +14,17 @@ using dsoc::WireWriter;
 
 using Writer = fields::FieldWriter<WireWriter, true>;
 
+/// A sink that counts the words WireWriter would append for each call.
+struct WordCounter {
+  std::size_t words = 0;
+  void u32(std::uint32_t) { words += 1; }
+  void u64(std::uint64_t) { words += 2; }
+  void i32(std::int32_t) { words += 2; }
+  void f64(double) { words += 2; }
+  void boolean(bool) { words += 1; }
+  void str(std::string_view s) { words += 2 + (s.size() + 3) / 4; }
+};
+
 // The last enumerator of each enum the DSE values carry: decode rejects
 // anything past it, so a corrupt stream can never smuggle an impossible
 // kind into a switch downstream.
@@ -130,6 +141,12 @@ T unmarshal(std::span<const std::uint32_t> words) {
 void wire_put(WireWriter& w, const DsePoint& v) { Writer{w}(v); }
 
 void wire_get(WireReader& r, DsePoint& v) { Reader{r}.get(v); }
+
+std::size_t wire_words(const DsePoint& v) {
+  WordCounter counter;
+  fields::FieldWriter<WordCounter, true>{counter}(v);
+  return counter.words;
+}
 
 void wire_put(WireWriter& w, const SweepRequest& v) { Writer{w}(v); }
 

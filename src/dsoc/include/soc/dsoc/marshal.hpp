@@ -74,6 +74,9 @@ CallId unmarshal_reply(std::span<const std::uint32_t> body,
 /// a marshalled call or reply).
 class WireWriter {
  public:
+  /// Sizes the buffer for `words` words in total, so a writer that knows
+  /// its message length allocates once.
+  void reserve(std::size_t words) { words_.reserve(words); }
   /// One 32-bit word.
   void u32(std::uint32_t v) { words_.push_back(v); }
   /// Two words, low word first.
@@ -140,5 +143,11 @@ class WireReader {
   std::span<const std::uint32_t> words_;
   std::size_t pos_ = 0;
 };
+
+/// Writes an invocation header announcing `argc` argument words into `w`;
+/// the caller then writes exactly those words. The result equals
+/// marshal_call's, without first building the arguments in a vector of
+/// their own.
+void put_call_header(WireWriter& w, const CallHeader& hdr, std::uint32_t argc);
 
 }  // namespace soc::dsoc

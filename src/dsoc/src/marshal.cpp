@@ -18,6 +18,14 @@ std::vector<std::uint32_t> marshal_call(const CallHeader& hdr,
   return body;
 }
 
+void put_call_header(WireWriter& w, const CallHeader& hdr, std::uint32_t argc) {
+  w.u32(hdr.object);
+  w.u32(hdr.method);
+  w.u32(hdr.call);
+  w.u32(hdr.reply_terminal);
+  w.u32(argc);
+}
+
 CallHeader unmarshal_call(std::span<const std::uint32_t> body,
                           std::vector<std::uint32_t>& args_out) {
   if (body.size() < kCallHeaderWords) {

@@ -40,9 +40,18 @@
 ///     kCancelled  [sweep id][points evaluated u64]
 ///     kError      [tag][sweep id][message]
 ///
-/// Because the service sends every client-bound message while holding its
-/// scheduling mutex and transports deliver per-sender FIFO, a client sees
-/// its kAccepted before any kPoint and every kPoint before kDone.
+/// Every client-bound message is appended, under the scheduling mutex, to
+/// that client's FIFO outbox (a pool thread marshals its kPoint before it
+/// takes the mutex). The first thread to find a client's outbox idle after
+/// appending becomes its only sender and drains it through the bus outside
+/// the mutex; other threads only append. So the outbox holds a client's
+/// messages in scheduling order, the bus receives them one call after
+/// another in that order, and transports deliver per-sender FIFO: a client
+/// sees its kAccepted before any kPoint and every kPoint before kDone.
+///
+/// A send that fails (a detached terminal, a dead connection) retires all
+/// of that client's active and queued sweeps as a cancel would, and the
+/// client is sent nothing further; the freed slots admit queued sweeps.
 
 #include <condition_variable>
 #include <cstdint>
@@ -100,9 +109,9 @@ struct ServiceStats {
   std::uint64_t accepted = 0;       ///< sweeps admitted (active or queued)
   std::uint64_t rejected_busy = 0;  ///< kBusy replies sent
   std::uint64_t completed = 0;      ///< kDone sent
-  std::uint64_t cancelled = 0;      ///< kCancelled sent
+  std::uint64_t cancelled = 0;      ///< kCancelled sent, or client gone
   std::uint64_t errors = 0;         ///< kError sent
-  std::uint64_t points_streamed = 0;  ///< kPoint messages sent
+  std::uint64_t points_streamed = 0;  ///< kPoint messages queued to send
 };
 
 /// The multiplexing DSE daemon (see file comment). Attach it to any
@@ -197,12 +206,23 @@ class DseService final : public tlm::Endpoint {
   void admit_queued_locked();
   void activate_locked(const std::shared_ptr<Job>& job);
   void on_submit(std::vector<std::uint32_t> args);
+  void submit_locked(noc::TerminalId client, std::uint32_t tag,
+                     const std::shared_ptr<Job>& job, const std::string& error);
   void on_cancel(std::vector<std::uint32_t> args);
-  void send_locked(noc::TerminalId client, dsoc::MethodId method,
-                   std::vector<std::uint32_t> args);
-  void stream_point_locked(const Job& job, std::uint32_t stage,
-                           std::uint64_t index, const core::DsePoint& pt,
-                           const std::vector<core::DsePoint>& extras);
+  void cancel_locked(noc::TerminalId client, std::uint32_t id);
+
+  /// Appends a marshalled message to `client`'s outbox.
+  void post_locked(noc::TerminalId client, std::vector<std::uint32_t> body);
+  /// Ends a critical section that may have posted to `client`: unless
+  /// another thread is already sending to it, this thread drains the
+  /// client's outbox through the bus, releasing `lock` while it sends.
+  /// Returns with `lock` held.
+  void flush(std::unique_lock<std::mutex>& lock, noc::TerminalId client);
+  /// A send to `client` failed: retires its active and queued sweeps as a
+  /// cancel does, without a kCancelled.
+  void retire_client_locked(noc::TerminalId client);
+  /// True while some thread drains an outbox.
+  bool sending_locked() const;
 
   tlm::MessageBus& bus_;
   noc::TerminalId terminal_ = kServiceTerminal;
@@ -213,7 +233,6 @@ class DseService final : public tlm::Endpoint {
   std::condition_variable idle_cv_;  ///< wait_idle()
   bool stop_ = false;
   std::uint32_t next_sweep_id_ = 1;
-  dsoc::CallId next_call_ = 1;
 
   std::map<std::uint32_t, std::shared_ptr<Job>> active_;
   std::deque<std::shared_ptr<Job>> queued_;
@@ -223,6 +242,14 @@ class DseService final : public tlm::Endpoint {
   /// client's sweeps.
   std::deque<noc::TerminalId> client_rr_;
   std::map<noc::TerminalId, std::deque<std::uint32_t>> client_jobs_;
+
+  /// One client's marshalled messages, in the order they were posted.
+  struct Outbox {
+    std::deque<std::vector<std::uint32_t>> queue;
+    bool sending = false;  ///< a thread drains it (see flush)
+  };
+  /// Outboxes of the clients that have sweeps or messages in flight.
+  std::map<noc::TerminalId, Outbox> outboxes_;
 
   ServiceStats stats_;
   std::vector<std::thread> pool_;

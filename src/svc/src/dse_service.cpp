@@ -1,6 +1,7 @@
 #include "soc/svc/dse_service.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -11,6 +12,47 @@ using core::DsePoint;
 using core::FlatPointEval;
 using core::ShardEvaluator;
 using core::SweepRequest;
+
+namespace {
+
+/// The header of every service -> client message: a oneway call to the
+/// client's stub (object 0: the terminal identifies it), with call id 1,
+/// as the protocol correlates nothing by call id.
+dsoc::CallHeader client_call(dsoc::MethodId method) {
+  dsoc::CallHeader hdr;
+  hdr.method = method;
+  hdr.call = 1;
+  return hdr;
+}
+
+/// A marshalled service -> client message.
+std::vector<std::uint32_t> call(dsoc::MethodId method,
+                                std::span<const std::uint32_t> args) {
+  return dsoc::marshal_call(client_call(method), args);
+}
+
+/// A marshalled kPoint message, header and payload written into one
+/// buffer that is sized before anything is written.
+std::vector<std::uint32_t> point_call(std::uint32_t sweep, std::uint32_t stage,
+                                      std::uint64_t index, const DsePoint& pt,
+                                      const std::vector<DsePoint>& extras) {
+  // [sweep id][stage][index u64][point][n extras u64][extras...]
+  std::size_t argc = 1 + 1 + 2 + core::wire_words(pt) + 2;
+  for (const DsePoint& e : extras) argc += core::wire_words(e);
+  dsoc::WireWriter w;
+  w.reserve(dsoc::kCallHeaderWords + argc);
+  dsoc::put_call_header(w, client_call(svc_method::kPoint),
+                        static_cast<std::uint32_t>(argc));
+  w.u32(sweep);
+  w.u32(stage);
+  w.u64(index);
+  core::wire_put(w, pt);
+  w.u64(extras.size());
+  for (const DsePoint& e : extras) core::wire_put(w, e);
+  return w.take();
+}
+
+}  // namespace
 
 DseService::DseService(tlm::MessageBus& bus, noc::TerminalId terminal,
                        DseServiceConfig cfg)
@@ -57,13 +99,19 @@ void DseService::stop() {
   for (std::thread& t : pool_) {
     if (t.joinable()) t.join();
   }
+  // Pool threads drain what they claimed before they exit; a bus
+  // dispatcher may still be draining an outbox it claimed in handle().
+  std::unique_lock<std::mutex> lock(mu_);
+  idle_cv_.wait(lock, [this] { return !sending_locked(); });
+  lock.unlock();
   idle_cv_.notify_all();
 }
 
 void DseService::wait_idle() {
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [this] {
-    return stop_ || (active_.empty() && queued_.empty());
+    return stop_ ||
+           (active_.empty() && queued_.empty() && !sending_locked());
   });
 }
 
@@ -106,19 +154,77 @@ void DseService::handle(const tlm::Transaction& request, tlm::CompletionFn done)
   if (done) done(request);
 }
 
-void DseService::send_locked(noc::TerminalId client, dsoc::MethodId method,
-                             std::vector<std::uint32_t> args) {
-  dsoc::CallHeader hdr;
-  hdr.object = 0;  // client-side stub: the terminal identifies the target
-  hdr.method = method;
-  hdr.call = next_call_++;
-  hdr.reply_terminal = dsoc::kNoReply;
-  try {
-    bus_.message(terminal_, client, dsoc::marshal_call(hdr, args));
-  } catch (const std::exception&) {
-    // Client gone (detached terminal, dead socket): the sweep keeps
-    // running server-side; nothing useful to do with the send failure.
+// ------------------------------------------------------------------ outbox --
+
+void DseService::post_locked(noc::TerminalId client,
+                             std::vector<std::uint32_t> body) {
+  outboxes_[client].queue.push_back(std::move(body));
+}
+
+bool DseService::sending_locked() const {
+  return std::any_of(outboxes_.begin(), outboxes_.end(),
+                     [](const auto& entry) { return entry.second.sending; });
+}
+
+void DseService::flush(std::unique_lock<std::mutex>& lock,
+                       noc::TerminalId client) {
+  const auto it = outboxes_.find(client);
+  if (it == outboxes_.end() || it->second.sending ||
+      it->second.queue.empty()) {
+    return;
   }
+  // This thread is now the client's only sender. The outbox stays put
+  // while `sending` is set: only its sender erases it.
+  Outbox& box = it->second;
+  box.sending = true;
+  std::deque<std::vector<std::uint32_t>> batch;
+  while (!box.queue.empty()) {
+    batch.swap(box.queue);
+    lock.unlock();
+    bool sent = true;
+    for (std::vector<std::uint32_t>& body : batch) {
+      try {
+        bus_.message(terminal_, client, std::move(body));
+      } catch (const std::exception&) {
+        sent = false;  // detached terminal, dead connection, closed bus
+        break;
+      }
+    }
+    batch.clear();
+    lock.lock();
+    if (!sent) {
+      box.queue.clear();  // the client is sent nothing further
+      retire_client_locked(client);
+    }
+  }
+  box.sending = false;
+  const bool serving =
+      client_jobs_.count(client) != 0 ||
+      std::any_of(queued_.begin(), queued_.end(),
+                  [client](const auto& j) { return j->client == client; });
+  if (!serving) outboxes_.erase(it);
+  if (stop_ || (active_.empty() && queued_.empty())) idle_cv_.notify_all();
+}
+
+void DseService::retire_client_locked(noc::TerminalId client) {
+  for (auto it = queued_.begin(); it != queued_.end();) {
+    if ((*it)->client == client) {
+      ++stats_.cancelled;
+      it = queued_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  if (const auto cit = client_jobs_.find(client); cit != client_jobs_.end()) {
+    const std::deque<std::uint32_t> ids = cit->second;  // retire edits it
+    for (const std::uint32_t id : ids) {
+      active_.at(id)->cancelled = true;  // in-flight units drop results
+      ++stats_.cancelled;
+      retire_locked(id);
+    }
+  }
+  admit_queued_locked();
+  if (active_.empty() && queued_.empty()) idle_cv_.notify_all();
 }
 
 void DseService::on_submit(std::vector<std::uint32_t> args) {
@@ -150,7 +256,14 @@ void DseService::on_submit(std::vector<std::uint32_t> args) {
     error = e.what();
   }
 
-  const std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  submit_locked(client, tag, job, error);
+  flush(lock, client);
+}
+
+void DseService::submit_locked(noc::TerminalId client, std::uint32_t tag,
+                               const std::shared_ptr<Job>& job,
+                               const std::string& error) {
   ++stats_.submitted;
   if (!error.empty() || stop_) {
     ++stats_.errors;
@@ -158,7 +271,7 @@ void DseService::on_submit(std::vector<std::uint32_t> args) {
     w.u32(tag);
     w.u32(0);
     w.str(stop_ ? "service stopping" : error);
-    send_locked(client, svc_method::kError, w.take());
+    post_locked(client, call(svc_method::kError, w.words()));
     return;
   }
   const bool has_active_slot =
@@ -173,7 +286,7 @@ void DseService::on_submit(std::vector<std::uint32_t> args) {
     w.u32(static_cast<std::uint32_t>(queued_.size()));
     w.u32(static_cast<std::uint32_t>(cfg_.max_active));
     w.u32(static_cast<std::uint32_t>(cfg_.max_queued));
-    send_locked(client, svc_method::kBusy, w.take());
+    post_locked(client, call(svc_method::kBusy, w.words()));
     return;
   }
   job->id = next_sweep_id_++;
@@ -186,7 +299,7 @@ void DseService::on_submit(std::vector<std::uint32_t> args) {
   w.u32(job->id);
   w.u64(job->total);
   w.boolean(!has_active_slot);
-  send_locked(client, svc_method::kAccepted, w.take());
+  post_locked(client, call(svc_method::kAccepted, w.words()));
   if (has_active_slot) {
     activate_locked(job);
   } else {
@@ -205,7 +318,12 @@ void DseService::on_cancel(std::vector<std::uint32_t> args) {
   } catch (const std::exception&) {
     return;
   }
-  const std::lock_guard<std::mutex> lock(mu_);
+  std::unique_lock<std::mutex> lock(mu_);
+  cancel_locked(client, id);
+  flush(lock, client);
+}
+
+void DseService::cancel_locked(noc::TerminalId client, std::uint32_t id) {
   // Queued sweeps cancel without ever having run.
   const auto qit = std::find_if(
       queued_.begin(), queued_.end(),
@@ -217,7 +335,7 @@ void DseService::on_cancel(std::vector<std::uint32_t> args) {
     dsoc::WireWriter w;
     w.u32(job->id);
     w.u64(0);
-    send_locked(job->client, svc_method::kCancelled, w.take());
+    post_locked(job->client, call(svc_method::kCancelled, w.words()));
     if (active_.empty() && queued_.empty()) idle_cv_.notify_all();
     return;
   }
@@ -229,7 +347,7 @@ void DseService::on_cancel(std::vector<std::uint32_t> args) {
   dsoc::WireWriter w;
   w.u32(job->id);
   w.u64(job->completed);
-  send_locked(job->client, svc_method::kCancelled, w.take());
+  post_locked(job->client, call(svc_method::kCancelled, w.words()));
   // Prompt slot reclamation: the sweep leaves the scheduler *now*; any
   // in-flight evaluations drop their results on completion. The freed
   // slot admits the next queued sweep immediately.
@@ -318,17 +436,17 @@ bool DseService::have_work_locked() const {
 }
 
 void DseService::pool_loop() {
+  std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
+    work_cv_.wait(lock, [this] { return stop_ || have_work_locked(); });
+    if (stop_) return;
     WorkItem item;
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      work_cv_.wait(lock,
-                    [this] { return stop_ || have_work_locked(); });
-      if (stop_) return;
-      if (!take_work_locked(item)) continue;  // raced another thread
-    }
-    // Run the unit outside the lock; record it (or the failure) under it.
+    if (!take_work_locked(item)) continue;  // raced another thread
+    lock.unlock();
+    // Run the unit and marshal its kPoint outside the lock; record it (or
+    // the failure) and queue the message under it.
     FlatPointEval ev;  // a validation fills only ev.point
+    std::vector<std::uint32_t> point;
     std::string error;
     try {
       if (item.phase == 0) {
@@ -337,41 +455,36 @@ void DseService::pool_loop() {
         ev.point = item.job->shard->validate(
             item.parent, item.job->layout.points[item.index]);
       }
+      point = point_call(item.job->id,
+                         item.phase == 0 ? kStageEvaluated : kStageValidated,
+                         item.index, ev.point, ev.extras);
     } catch (const std::exception& e) {
       error = e.what();
     }
-    const std::lock_guard<std::mutex> lock(mu_);
+    lock.lock();
     if (!error.empty()) {
       fail_locked(item.job, error);
     } else if (item.job->cancelled || item.job->failed) {
       // Retired while the unit ran: drop its result.
-    } else if (item.phase == 0) {
-      record_eval_locked(item.job, item.index, std::move(ev));
     } else {
-      record_validated_locked(item.job, item.index, std::move(ev.point));
+      // Queued before recording, so it precedes any kDone the unit ends
+      // the sweep with.
+      post_locked(item.job->client, std::move(point));
+      ++stats_.points_streamed;
+      if (item.phase == 0) {
+        record_eval_locked(item.job, item.index, std::move(ev));
+      } else {
+        record_validated_locked(item.job, item.index, std::move(ev.point));
+      }
     }
+    flush(lock, item.job->client);
   }
 }
 
 // --------------------------------------------------------------- recording --
 
-void DseService::stream_point_locked(const Job& job, std::uint32_t stage,
-                                     std::uint64_t index, const DsePoint& pt,
-                                     const std::vector<DsePoint>& extras) {
-  dsoc::WireWriter w;
-  w.u32(job.id);
-  w.u32(stage);
-  w.u64(index);
-  core::wire_put(w, pt);
-  w.u64(extras.size());
-  for (const DsePoint& e : extras) core::wire_put(w, e);
-  ++stats_.points_streamed;
-  send_locked(job.client, svc_method::kPoint, w.take());
-}
-
 void DseService::record_eval_locked(const std::shared_ptr<Job>& job,
                                     std::size_t flat, FlatPointEval ev) {
-  stream_point_locked(*job, kStageEvaluated, flat, ev.point, ev.extras);
   job->arrivals.add(flat, std::move(ev.point), std::move(ev.extras));
   ++job->completed;
   if (job->completed == job->total) finish_phase0_locked(job);
@@ -393,8 +506,6 @@ void DseService::finish_phase0_locked(const std::shared_ptr<Job>& job) {
 void DseService::record_validated_locked(const std::shared_ptr<Job>& job,
                                          std::size_t index, DsePoint pt) {
   job->layout.overlay_validated(index, std::move(pt));
-  stream_point_locked(*job, kStageValidated, index,
-                      job->layout.points[index], {});
   ++job->vdone;
   if (job->vdone == job->layout.front.size()) complete_locked(job);
 }
@@ -413,7 +524,7 @@ void DseService::complete_locked(const std::shared_ptr<Job>& job) {
   w.u64(job->completed);
   w.u64(job->vdone);
   ++stats_.completed;
-  send_locked(job->client, svc_method::kDone, w.take());
+  post_locked(job->client, call(svc_method::kDone, w.words()));
   retire_locked(job->id);
   admit_queued_locked();
 }
@@ -427,7 +538,7 @@ void DseService::fail_locked(const std::shared_ptr<Job>& job,
   w.u32(job->tag);
   w.u32(job->id);
   w.str(what);
-  send_locked(job->client, svc_method::kError, w.take());
+  post_locked(job->client, call(svc_method::kError, w.words()));
   retire_locked(job->id);
   admit_queued_locked();
 }

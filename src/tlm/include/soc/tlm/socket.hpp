@@ -20,7 +20,9 @@
 /// table from the initiator field of inbound frames: after a client at
 /// terminal T sends anything, messages addressed to T go back down that
 /// connection. A client (`connect`) has exactly one connection and sends
-/// every non-local message down it. Word metering matches
+/// every non-local message down it. A connection whose reader sees EOF or
+/// a read error is dead from then on: sends routed to it throw at once
+/// rather than queue frames nobody will read. Word metering matches
 /// LoopbackTransport: every accepted message's payload size is counted
 /// once on the sending side (local sends by the embedded loopback, remote
 /// sends by the frame writer).
@@ -80,7 +82,9 @@ class SocketTransport final : public MessageBus {
   /// from; client: the single connection). `delivered` fires on the
   /// calling thread with the post-enqueue view, matching
   /// LoopbackTransport. Throws std::invalid_argument when the target is
-  /// neither local nor routable, std::logic_error after shutdown.
+  /// neither local nor routable, std::logic_error after shutdown, and
+  /// std::runtime_error when the target's connection is dead: its reader
+  /// saw EOF (the peer closed) or a read or write on it failed.
   std::uint64_t message(noc::TerminalId initiator, noc::TerminalId target,
                         std::vector<std::uint32_t> body,
                         CompletionFn delivered = nullptr) override;
@@ -118,7 +122,9 @@ class SocketTransport final : public MessageBus {
     std::condition_variable cv;
     std::deque<std::vector<std::uint8_t>> outbox;
     bool stop = false;
-    bool dead = false;  ///< socket failed; sends to it now throw
+    /// The peer closed (reader EOF) or the socket failed (read or write
+    /// error); sends to it now throw.
+    bool dead = false;
   };
 
   SocketTransport() = default;

@@ -176,23 +176,23 @@ void SocketTransport::accept_loop() {
 void SocketTransport::reader_loop(Connection& conn) {
   std::uint8_t header[kHeaderBytes];
   for (;;) {
-    if (!read_full(conn.fd, header, kHeaderBytes)) return;  // peer closed
+    if (!read_full(conn.fd, header, kHeaderBytes)) break;  // peer closed
     const std::uint32_t magic = get_u32(header);
     const noc::TerminalId initiator = get_u32(header + 4);
     const noc::TerminalId target = get_u32(header + 8);
     const std::uint32_t nwords = get_u32(header + 12);
     if (magic != kFrameMagic) {
       record_error("bad frame magic from peer");
-      return;
+      break;
     }
     if (nwords > kMaxFrameWords) {
       record_error("oversized frame from peer");
-      return;
+      break;
     }
     std::vector<std::uint8_t> raw(static_cast<std::size_t>(nwords) * 4);
     if (!read_full(conn.fd, raw.data(), raw.size())) {
       record_error("truncated frame from peer");
-      return;
+      break;
     }
     std::vector<std::uint32_t> body(nwords);
     for (std::uint32_t i = 0; i < nwords; ++i) body[i] = get_u32(&raw[i * 4]);
@@ -211,6 +211,10 @@ void SocketTransport::reader_loop(Connection& conn) {
       record_error(std::string("inbound frame dropped: ") + e.what());
     }
   }
+  // The peer closed or broke the stream: it is gone, so sends to it now
+  // throw instead of queueing frames nobody will read.
+  const std::lock_guard<std::mutex> lock(conn.mu);
+  conn.dead = true;
 }
 
 void SocketTransport::writer_loop(Connection& conn) {

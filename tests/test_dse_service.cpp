@@ -10,7 +10,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <functional>
 #include <mutex>
@@ -174,8 +176,14 @@ class Recorder final : public tlm::Endpoint {
 
   /// Blocks until `n` messages have arrived (test-deadline bounded).
   void wait_for(std::size_t n) {
+    wait_until([n](const auto& got) { return got.size() >= n; });
+  }
+
+  /// Blocks until `done(payloads so far)` holds (test-deadline bounded).
+  template <class Pred>
+  void wait_until(Pred done) {
     std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return payloads_.size() >= n; });
+    cv_.wait(lk, [&] { return done(payloads_); });
   }
 
   std::vector<std::vector<std::uint32_t>> payloads() {
@@ -479,12 +487,15 @@ TEST(DseService, CancelFreesTheSlotAndAdmitsTheQueuedSweep) {
   DseClient client(bus, 1);
 
   // Sweep A occupies the only active slot; cancel it from its own
-  // observer after the first streamed point.
+  // observer after the first streamed point. That point can land before
+  // submit() has returned A's id, so the observer waits for the id.
   std::atomic<std::uint32_t> id_a{0};
   std::atomic<bool> cancel_sent{false};
   const std::uint32_t a = client.submit(
       slow_request(true), [&](std::uint64_t, const DsePoint&, bool) {
-        if (!cancel_sent.exchange(true)) client.cancel(id_a.load());
+        if (cancel_sent.exchange(true)) return;
+        while (id_a.load() == 0) std::this_thread::yield();
+        client.cancel(id_a.load());
       });
   id_a.store(a);
   // Sweep B lands in the queue behind it.
@@ -566,6 +577,175 @@ TEST(DseService, BrokerRegistrationResolvesByInterfaceName) {
 
   service.stop();
   bus.shutdown();
+}
+
+// ------------------------------------ the raw stream, message by message ---
+
+/// A request whose stream carries every kind of kPoint: grid points with
+/// nsga2 mapping-front extras, then stage-2 overlays of the front.
+SweepRequest fronts_and_validation_request(bool alt_scenario) {
+  SweepRequest req = small_request(alt_scenario);
+  req.config.mapper = "nsga2";
+  req.config.mapping_fronts = true;
+  req.config.validate_pareto = true;
+  req.anneal.iterations = 60;  // nsga2 budget: keep the quick label quick
+  return req;
+}
+
+/// Submits `req` as a bare endpoint at `terminal` would: no DseClient.
+void raw_submit(tlm::MessageBus& bus, noc::TerminalId terminal,
+                std::uint32_t tag, const SweepRequest& req) {
+  dsoc::WireWriter w;
+  w.u32(terminal);
+  w.u32(tag);
+  core::wire_put(w, req);
+  dsoc::CallHeader hdr;
+  hdr.object = kServiceObjectId;
+  hdr.method = svc_method::kSubmit;
+  hdr.call = 1;
+  bus.message(terminal, kServiceTerminal, dsoc::marshal_call(hdr, w.words()));
+}
+
+/// True once `got` holds a message that finishes a submit's stream (last
+/// or not: the order is checked once everything has arrived).
+bool stream_ended(const std::vector<std::vector<std::uint32_t>>& got) {
+  return std::any_of(got.begin(), got.end(), [](const auto& body) {
+    const dsoc::MethodId m = body.size() > 1 ? body[1] : 0;
+    return m == svc_method::kDone || m == svc_method::kError ||
+           m == svc_method::kBusy || m == svc_method::kCancelled;
+  });
+}
+
+/// Reads a u64-counted list of u64 indices.
+std::vector<std::size_t> read_index_list(dsoc::WireReader& r) {
+  std::vector<std::size_t> out(static_cast<std::size_t>(r.u64()));
+  for (std::size_t& i : out) i = static_cast<std::size_t>(r.u64());
+  return out;
+}
+
+/// Checks one client's raw messages against ARCHITECTURE's method table and
+/// the ordering contract: one kAccepted, first; one stage-0 kPoint per grid
+/// index, carrying exactly that parent's extras; then one stage-1 kPoint
+/// per front index, equal to the session's validated point; kDone last.
+/// Every body must decode into the table's layout with no words left over.
+void expect_stream_follows_table(
+    const std::vector<std::vector<std::uint32_t>>& bodies, std::uint32_t tag,
+    const SessionRef& ref, const std::string& what) {
+  SCOPED_TRACE(what);
+  ASSERT_GE(bodies.size(), 2u);
+  std::vector<std::size_t> extras_of(ref.grid_points, 0);
+  for (const std::size_t parent : ref.extra_parents) ++extras_of[parent];
+  std::vector<int> evaluated(ref.grid_points, 0);
+  std::vector<int> validated(ref.points.size(), 0);
+  std::uint32_t sweep = 0;
+  bool in_stage_one = false;
+  for (std::size_t k = 0; k < bodies.size(); ++k) {
+    SCOPED_TRACE("message " + std::to_string(k));
+    std::vector<std::uint32_t> args;
+    dsoc::CallHeader hdr;
+    try {
+      hdr = dsoc::unmarshal_call(bodies[k], args);
+    } catch (const std::exception& e) {
+      FAIL() << "undecodable call: " << e.what();
+    }
+    EXPECT_EQ(hdr.object, 0u);
+    EXPECT_EQ(hdr.call, 1u);
+    EXPECT_EQ(hdr.reply_terminal, dsoc::kNoReply);
+    dsoc::WireReader r(args);
+    try {
+      if (k == 0) {
+        ASSERT_EQ(hdr.method, svc_method::kAccepted);
+        EXPECT_EQ(r.u32(), tag);
+        sweep = r.u32();
+        EXPECT_EQ(r.u64(), ref.grid_points);
+        r.boolean();
+      } else if (k + 1 == bodies.size()) {
+        ASSERT_EQ(hdr.method, svc_method::kDone);
+        EXPECT_EQ(r.u32(), sweep);
+        EXPECT_EQ(read_index_list(r), ref.front);
+        std::vector<std::vector<std::size_t>> scenario_fronts(
+            static_cast<std::size_t>(r.u64()));
+        for (auto& sf : scenario_fronts) sf = read_index_list(r);
+        EXPECT_EQ(scenario_fronts, ref.scenario_fronts);
+        EXPECT_EQ(r.u64(), ref.grid_points);
+        EXPECT_EQ(r.u64(), ref.front.size());
+      } else {
+        ASSERT_EQ(hdr.method, svc_method::kPoint);
+        EXPECT_EQ(r.u32(), sweep);
+        const std::uint32_t stage = r.u32();
+        const std::uint64_t index = r.u64();
+        DsePoint pt;
+        core::wire_get(r, pt);
+        const std::uint64_t n_extras = r.u64();
+        for (std::uint64_t e = 0; e < n_extras; ++e) {
+          DsePoint extra;
+          core::wire_get(r, extra);
+        }
+        if (stage == kStageEvaluated) {
+          ASSERT_FALSE(in_stage_one) << "stage-0 point after stage 1 began";
+          ASSERT_LT(index, ref.grid_points);
+          ++evaluated[index];
+          EXPECT_EQ(n_extras, extras_of[index]) << "grid index " << index;
+        } else {
+          ASSERT_EQ(stage, kStageValidated);
+          in_stage_one = true;
+          ASSERT_LT(index, ref.points.size());
+          ++validated[index];
+          EXPECT_EQ(n_extras, 0u);
+          EXPECT_EQ(core::marshal_point(pt), core::marshal_point(ref.points[index]))
+              << "validated point " << index;
+        }
+      }
+      EXPECT_TRUE(r.done()) << r.remaining() << " words left over";
+    } catch (const std::exception& e) {
+      FAIL() << "payload does not follow the method table: " << e.what();
+    }
+  }
+  for (std::size_t i = 0; i < ref.grid_points; ++i) {
+    EXPECT_EQ(evaluated[i], 1) << "grid index " << i;
+  }
+  for (std::size_t i = 0; i < ref.points.size(); ++i) {
+    const bool on_front =
+        std::find(ref.front.begin(), ref.front.end(), i) != ref.front.end();
+    EXPECT_EQ(validated[i], on_front ? 1 : 0) << "point " << i;
+  }
+}
+
+TEST(DseService, RawStreamFollowsTheMethodTableInOrder) {
+  const SweepRequest reqs[2] = {fronts_and_validation_request(false),
+                                fronts_and_validation_request(true)};
+  const SessionRef refs[2] = {run_reference(reqs[0]), run_reference(reqs[1])};
+  for (const SessionRef& ref : refs) {
+    ASSERT_GT(ref.extra_parents.size(), 0u) << "fixture must yield extras";
+    ASSERT_FALSE(ref.front.empty()) << "fixture must validate a front";
+  }
+  // One endpoint alone, then two at once, so two clients' senders
+  // interleave on the 4-thread pool.
+  for (const std::size_t clients : {1u, 2u}) {
+    tlm::LoopbackTransport bus;
+    DseServiceConfig cfg;
+    cfg.pool_threads = 4;
+    DseService service(bus, kServiceTerminal, cfg);
+    Recorder recorders[2];
+    for (std::size_t c = 0; c < clients; ++c) {
+      bus.attach(static_cast<noc::TerminalId>(c + 1), recorders[c]);
+    }
+    for (std::size_t c = 0; c < clients; ++c) {
+      raw_submit(bus, static_cast<noc::TerminalId>(c + 1),
+                 static_cast<std::uint32_t>(40 + c), reqs[c]);
+    }
+    for (std::size_t c = 0; c < clients; ++c) {
+      recorders[c].wait_until(stream_ended);
+    }
+    service.stop();
+    bus.shutdown();  // delivers anything sent after the last message
+    for (std::size_t c = 0; c < clients; ++c) {
+      expect_stream_follows_table(
+          recorders[c].payloads(), static_cast<std::uint32_t>(40 + c),
+          refs[c],
+          std::to_string(clients) + " client(s), client " + std::to_string(c));
+    }
+  }
 }
 
 // -------------------------------------------- a client distrusts the wire ---
@@ -792,7 +972,9 @@ TEST(DseService, TcpCancelReclaimsTheSlotAcrossClients) {
   std::atomic<bool> sent{false};
   const std::uint32_t a = c1.submit(
       slow_request(true), [&](std::uint64_t, const DsePoint&, bool) {
-        if (!sent.exchange(true)) c1.cancel(id1.load());
+        if (sent.exchange(true)) return;
+        while (id1.load() == 0) std::this_thread::yield();  // see above
+        c1.cancel(id1.load());
       });
   id1.store(a);
 
@@ -806,6 +988,48 @@ TEST(DseService, TcpCancelReclaimsTheSlotAcrossClients) {
 
   service.stop();
   bus1->shutdown();
+  bus2->shutdown();
+  server->shutdown();
+}
+
+TEST(DseService, DisconnectedClientFreesItsSlot) {
+  // Client 1 disconnects right after its slow sweep is admitted. The first
+  // send to it fails, which must retire that sweep as a cancel would and
+  // admit client 2's sweep, queued behind it, long before the slow sweep
+  // could have finished.
+  auto server = tlm::SocketTransport::listen(0);
+  DseServiceConfig cfg;
+  cfg.pool_threads = 1;
+  cfg.max_active = 1;
+  cfg.max_queued = 1;
+  DseService service(*server, kServiceTerminal, cfg);
+
+  SweepRequest slow = slow_request(true);
+  slow.anneal.iterations = 250000;  // hundreds of ms on one pool thread
+  auto bus1 = tlm::SocketTransport::connect("127.0.0.1", server->port());
+  DseClient c1(*bus1, 1);
+  (void)c1.submit(slow);
+  bus1->shutdown();
+
+  auto bus2 = tlm::SocketTransport::connect("127.0.0.1", server->port());
+  DseClient c2(*bus2, 2);
+  const std::uint32_t b = c2.submit(small_request());
+  expect_result_identical(c2.wait(b), run_reference(small_request()),
+                          "sweep queued behind a disconnected client");
+
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (service.active_sweeps() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_EQ(service.active_sweeps(), 0u);
+  EXPECT_EQ(service.queued_sweeps(), 0u);
+  const ServiceStats st = service.stats();
+  EXPECT_EQ(st.completed, 1u) << "the disconnected client's sweep ran on";
+  EXPECT_EQ(st.cancelled, 1u);
+
+  service.stop();
   bus2->shutdown();
   server->shutdown();
 }

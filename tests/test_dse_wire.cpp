@@ -228,6 +228,20 @@ TEST(DseWire, EncodingMatchesPinnedWords) {
             (WordsDigest{128, 0x0479b7692fc0566cull, 0x5fc1a8d6f59d1d29ull}));
 }
 
+TEST(DseWire, WireWordsCountsTheEncodedPoint) {
+  // The service sizes each kPoint message from wire_words before writing
+  // it, so the count must equal the encoding's length exactly, string
+  // padding included.
+  EXPECT_EQ(wire_words(DsePoint{}), marshal_point(DsePoint{}).size());
+  DsePoint pt = full_point();
+  for (std::size_t len = 0; len <= 9; ++len) {
+    pt.scenario_name.assign(len, 's');
+    pt.mapper.assign(9 - len, 'm');
+    pt.mapping.assign(len, 3);
+    EXPECT_EQ(wire_words(pt), marshal_point(pt).size()) << "length " << len;
+  }
+}
+
 TEST(DseWire, EveryTruncationThrows) {
   // Fuzz-ish sweep over every strict prefix: the decoders must throw
   // std::invalid_argument (never read out of bounds, never accept).

@@ -30,6 +30,16 @@ TEST(Marshal, CallRoundTrip) {
   EXPECT_EQ(out_args, args);
 }
 
+TEST(Marshal, HeaderWrittenInPlaceEqualsMarshalCall) {
+  const CallHeader hdr{7, 3, 99, kNoReply};
+  const std::vector<std::uint32_t> args{10, 20, 30};
+  WireWriter w;
+  w.reserve(kCallHeaderWords + args.size());
+  put_call_header(w, hdr, static_cast<std::uint32_t>(args.size()));
+  for (const std::uint32_t a : args) w.u32(a);
+  EXPECT_EQ(w.take(), marshal_call(hdr, args));
+}
+
 TEST(Marshal, ReplyRoundTrip) {
   const std::vector<std::uint32_t> results{5, 6};
   const auto body = marshal_reply(42, results);
