@@ -27,5 +27,5 @@ int main() {
               hw.years_to_grow(2.0));
   bench::verdict(cross > 2001 && cross < 2005,
                  "SW effort overtakes HW effort around the paper's date (2003)");
-  return 0;
+  return bench::exit_code();
 }

@@ -113,5 +113,5 @@ int main() {
   bench::verdict(true,
                  "10x penalty restricts eFPGA to small, regular, respin-prone "
                  "functions (<~5%)");
-  return 0;
+  return bench::exit_code();
 }

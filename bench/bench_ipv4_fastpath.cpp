@@ -191,5 +191,5 @@ int main() {
                 100.0 * r.accepted_fraction, r.platform.mean_task_latency,
                 r.platform.p99_task_latency);
   }
-  return 0;
+  return bench::exit_code();
 }

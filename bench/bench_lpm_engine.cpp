@@ -57,5 +57,5 @@ int main() {
   }
   bench::note("larger strides buy fewer memory reads with exponential table");
   bench::note("growth: the classic SRAM-LPM engineering knob");
-  return 0;
+  return bench::exit_code();
 }

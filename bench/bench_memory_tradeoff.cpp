@@ -64,5 +64,5 @@ int main() {
   bench::verdict(rs.prefetch_hit_rate > rs.baseline_hit_rate + 0.15,
                  "prefetching recovers streaming misses (one of the paper's "
                  "three latency-hiding mechanisms)");
-  return 0;
+  return bench::exit_code();
 }

@@ -110,5 +110,5 @@ int main() {
   }
   bench::note("the sweet spot sits where the paper's platforms sit: enough");
   bench::note("contexts to saturate, before register-bank area dominates");
-  return 0;
+  return bench::exit_code();
 }

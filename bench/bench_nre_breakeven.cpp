@@ -64,5 +64,5 @@ int main() {
       platform_nre, mask, derivative, asic);
   std::printf("  platform strategy wins from %d variants on\n", be);
   bench::verdict(be >= 2 && be <= 3, "platform amortization wins within a small product family");
-  return 0;
+  return bench::exit_code();
 }

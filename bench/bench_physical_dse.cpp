@@ -16,7 +16,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_dse_util.hpp"
 #include "bench_util.hpp"
 #include "soc/apps/graphs.hpp"
 #include "soc/core/dse.hpp"
@@ -101,7 +100,7 @@ int main() {
     core::DseSpace s = space;
     s.nodes = {*tech::find_node(name)};
     const auto t0 = std::chrono::steady_clock::now();
-    auto points = bench::run_session(graph, s, tech::node_90nm(), {}, ac, dc);
+    auto points = core::DseSession(core::DseProblem{graph}, s, ac, dc).run();
     total_ms += std::chrono::duration<double, std::milli>(
                     std::chrono::steady_clock::now() - t0)
                     .count();
@@ -206,7 +205,8 @@ int main() {
   s65.nodes = {*tech::find_node("65nm")};
   core::DseConfig serial = dc;
   serial.num_threads = 1;
-  const auto pts_serial = bench::run_session(graph, s65, tech::node_90nm(), {}, ac, serial);
+  const auto pts_serial =
+      core::DseSession(core::DseProblem{graph}, s65, ac, serial).run();
   const bool deterministic =
       same_sim_figures(per_node_points.back(), pts_serial);
   bench::verdict(deterministic,
@@ -239,5 +239,5 @@ int main() {
   json.add("saturated_points", static_cast<long long>(saturated));
 
   json.write();
-  return 0;
+  return bench::exit_code();
 }

@@ -84,5 +84,5 @@ int main() {
   bench::verdict(hw_ops > 5.0 * best_sw,
                  "hardwired logic turns the same power budget into >5x the "
                  "throughput of any programmable fabric");
-  return 0;
+  return bench::exit_code();
 }

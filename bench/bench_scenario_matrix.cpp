@@ -238,5 +238,5 @@ int main(int argc, char** argv) {
   json.add("feasible_or_typed", all_feasible_or_typed);
   json.add("threads_bit_identical", threads_bit_identical);
   json.write();
-  return all_feasible_or_typed && threads_bit_identical ? 0 : 1;
+  return bench::exit_code();
 }

@@ -284,8 +284,5 @@ int main(int argc, char** argv) {
   json.add("warm_builds", static_cast<long long>(warm_builds.builds));
 
   json.write();
-  return exactly_once && uncached_rebuilds && warm_speedup && warm_hits &&
-                 builds_bounded
-             ? 0
-             : 1;
+  return bench::exit_code();
 }

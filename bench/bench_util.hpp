@@ -1,10 +1,10 @@
 #pragma once
 
 // Shared console-table formatting for the experiment harnesses. Every
-// bench prints the rows EXPERIMENTS.md records, plus a PASS/FAIL verdict
-// against the paper's qualitative claim. JsonReport additionally persists
-// the headline numbers as BENCH_<name>.json so perf trajectories can be
-// diffed across commits.
+// bench prints its table rows plus a [REPRODUCED]/[DIVERGED] verdict per
+// claim, and returns exit_code() from main, so any [DIVERGED] fails the
+// bench's CTest. JsonReport additionally persists the headline numbers as
+// BENCH_<name>.json so perf trajectories can be diffed across commits.
 
 #include <cstdio>
 #include <string>
@@ -25,9 +25,16 @@ inline void rule() {
   std::printf("  ----------------------------------------------------------------\n");
 }
 
+/// Verdicts printed [DIVERGED] so far in this process.
+inline int diverged = 0;
+
 inline void verdict(bool ok, const std::string& claim) {
+  if (!ok) ++diverged;
   std::printf("  [%s] %s\n", ok ? "REPRODUCED" : "DIVERGED", claim.c_str());
 }
+
+/// main's return value: nonzero once any verdict has diverged.
+inline int exit_code() { return diverged == 0 ? 0 : 1; }
 
 /// Flat machine-readable summary of one bench run. Keys are emitted in
 /// insertion order; write() produces BENCH_<name>.json in the working

@@ -4,17 +4,21 @@
 // checks the methodology's load-bearing assumption — that the analytic
 // ranking of the front survives contention-aware simulation — and records
 // the analytic-vs-simulated rank correlation in BENCH_validated_dse.json.
+// A2c: a stage-1 sweep of the mjpeg platform space exposes a non-trivial
+// Pareto front. A2d: the FPPA chain validator (validate.hpp) runs mappings
+// as DSOC pipelines on the event-driven platform; the analytic bottleneck
+// must hold for a coarse-grained chain.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <vector>
 
-#include "bench_dse_util.hpp"
 #include "bench_util.hpp"
 #include "soc/apps/graphs.hpp"
 #include "soc/core/dse.hpp"
 #include "soc/core/dse_session.hpp"
 #include "soc/core/objective_space.hpp"
+#include "soc/core/validate.hpp"
 
 using namespace soc;
 
@@ -91,7 +95,6 @@ int main() {
   space.fabrics = {tech::Fabric::kAsip, tech::Fabric::kGeneralPurposeCpu};
   core::AnnealConfig ac;
   ac.iterations = 3'000;
-  const auto& node = tech::node_90nm();
   const auto graph = apps::mjpeg_task_graph();
 
   bench::title("V1", "Two-stage DSE: analytic sweep + NoC-replay validation");
@@ -102,7 +105,8 @@ int main() {
   core::DseConfig dc;
   dc.validate_pareto = true;
   const auto t0 = std::chrono::steady_clock::now();
-  const auto points = bench::run_session(graph, space, node, {}, ac, dc);
+  const auto points =
+      core::DseSession(core::DseProblem{graph}, space, ac, dc).run();
   const double total_ms = std::chrono::duration<double, std::milli>(
                               std::chrono::steady_clock::now() - t0)
                               .count();
@@ -153,7 +157,8 @@ int main() {
   bench::rule();
   core::DseConfig serial = dc;
   serial.num_threads = 1;
-  const auto points_serial = bench::run_session(graph, space, node, {}, ac, serial);
+  const auto points_serial =
+      core::DseSession(core::DseProblem{graph}, space, ac, serial).run();
   const bool deterministic = same_sim_figures(points, points_serial);
   bench::verdict(deterministic,
                  "simulated figures bit-identical across thread counts");
@@ -165,7 +170,8 @@ int main() {
   bench::rule();
   core::DseConfig closed = dc;
   closed.validation.mode = noc::ReplayConfig::Mode::kClosedLoop;
-  const auto points_closed = bench::run_session(graph, space, node, {}, ac, closed);
+  const auto points_closed =
+      core::DseSession(core::DseProblem{graph}, space, ac, closed).run();
   double open_best = 0.0, closed_best = 0.0;
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (!points[i].validated) continue;
@@ -181,6 +187,92 @@ int main() {
   json.add("best_open_loop_items_per_kcycle", open_best);
   json.add("best_closed_loop_items_per_kcycle", closed_best);
 
+  bench::title("A2c", "Platform DSE sweep (mjpeg graph), Pareto front");
+  bench::note("homogeneous candidates: mjpeg maps fully onto ASIP pools;");
+  bench::note("DSP-only candidates are infeasible (display DMA needs ASIP/HW)");
+  bench::rule();
+  core::DseSpace a2c_space;
+  a2c_space.pe_counts = {4, 8, 16};
+  a2c_space.thread_counts = {2, 4};
+  a2c_space.topologies = {noc::TopologyKind::kBus, noc::TopologyKind::kMesh2D,
+                          noc::TopologyKind::kCrossbar};
+  a2c_space.fabrics = {tech::Fabric::kAsip, tech::Fabric::kDsp};
+  const core::DseConfig a2c_config;  // stage 1 only, every hardware thread
+  const auto t_a2c = std::chrono::steady_clock::now();
+  const auto a2c_points =
+      core::DseSession(core::DseProblem{graph}, a2c_space, ac, a2c_config)
+          .run();
+  const double a2c_ms = std::chrono::duration<double, std::milli>(
+                            std::chrono::steady_clock::now() - t_a2c)
+                            .count();
+  int a2c_front = 0;
+  for (const auto& pt : a2c_points) {
+    if (!pt.pareto_optimal) continue;
+    std::printf("  %s\n", core::to_string(pt).c_str());
+    ++a2c_front;
+  }
+  bench::rule();
+  std::printf("  %zu candidates evaluated in %.0f ms, %d on the Pareto front\n",
+              a2c_points.size(), a2c_ms, a2c_front);
+  bench::verdict(a2c_front >= 2 &&
+                     a2c_front < static_cast<int>(a2c_points.size()),
+                 "DSE exposes a non-trivial throughput/area/power frontier");
+  json.add("dse.candidates", static_cast<long long>(a2c_points.size()));
+  json.add("dse.pareto_points", static_cast<long long>(a2c_front));
+  json.add("dse.sweep_ms", a2c_ms);
+  json.add("dse.mapper", a2c_config.mapper);
+
+  bench::title("A2d", "Cross-level validation: analytic model vs simulation");
+  bench::note("each mapping runs as a real DSOC pipeline on the event-driven");
+  bench::note("FPPA at 90% of its predicted capacity (Section 3: 'feed the ...");
+  bench::note("figures up to higher abstraction levels')");
+  bench::rule();
+  std::printf("  %-24s %10s %10s %8s %8s\n", "case", "predicted", "measured",
+              "ratio", "pe util");
+  bool coarse_ok = true;
+  {
+    // Coarse-grained pipeline: the fast model should be accurate.
+    core::TaskGraph g("coarse-chain");
+    for (int i = 0; i < 4; ++i) {
+      core::TaskNode t;
+      t.name = "s" + std::to_string(i);
+      t.work_ops = 400;
+      g.add_node(std::move(t));
+    }
+    for (int i = 0; i + 1 < 4; ++i) g.add_edge({i, i + 1, 8});
+    const core::PlatformDesc p(
+        std::vector<core::PeDesc>(
+            4, core::PeDesc{tech::Fabric::kGeneralPurposeCpu, 4, {}, 0.0}),
+        noc::TopologyKind::kMesh2D, tech::node_90nm());
+    const auto r = core::validate_mapping(g, p, core::Mapping{0, 1, 2, 3});
+    coarse_ok = r.ratio > 1.0 && r.ratio < 1.3;
+    std::printf("  %-24s %10.0f %10.1f %8.2f %8.2f\n", "coarse 4-stage chain",
+                r.predicted_bottleneck_cycles, r.measured_cycles_per_item,
+                r.ratio, r.bottleneck_pe_utilization);
+    json.add("validate.coarse_ratio", r.ratio);
+  }
+  {
+    // Fine-grained IPv4 pipeline: marshalling/NI overheads the analytic
+    // bottleneck ignores become visible — quantifying the model's limits.
+    const auto g = apps::ipv4_task_graph();
+    const core::PlatformDesc p(
+        std::vector<core::PeDesc>(8,
+                                  core::PeDesc{tech::Fabric::kAsip, 4, {}, 0.0}),
+        noc::TopologyKind::kMesh2D, tech::node_90nm());
+    core::AnnealConfig ipv4_ac;
+    ipv4_ac.iterations = 4000;
+    const auto m = core::anneal_mapping(g, p, {}, ipv4_ac);
+    const auto r = core::validate_mapping(g, p, m);
+    std::printf("  %-24s %10.0f %10.1f %8.2f %8.2f\n", "fine-grained ipv4",
+                r.predicted_bottleneck_cycles, r.measured_cycles_per_item,
+                r.ratio, r.bottleneck_pe_utilization);
+  }
+  bench::rule();
+  bench::verdict(coarse_ok,
+                 "analytic mapper predictions hold on-platform for "
+                 "coarse-grained pipelines (fine-grained ones expose "
+                 "marshalling overheads, motivating the cycle-level layer)");
+
   json.write();
-  return 0;
+  return bench::exit_code();
 }

@@ -65,5 +65,5 @@ int main() {
   bench::verdict(gb50 > 0.2,
                  "worst-case margining costs >20% of the clock at 50nm: "
                  "statistical design becomes mandatory");
-  return 0;
+  return bench::exit_code();
 }

@@ -71,5 +71,5 @@ int main() {
   bench::verdict(array_yield > mono_yield,
                  "regular PE arrays are structurally easier to yield than "
                  "monolithic logic — another force toward MP-SoC platforms");
-  return 0;
+  return bench::exit_code();
 }

@@ -21,8 +21,13 @@
 /// terminal T sends anything, messages addressed to T go back down that
 /// connection. A client (`connect`) has exactly one connection and sends
 /// every non-local message down it. A connection whose reader sees EOF or
-/// a read error is dead from then on: sends routed to it throw at once
-/// rather than queue frames nobody will read. Word metering matches
+/// a read error, or whose write fails, is dead from then on: sends routed
+/// to it throw at once rather than queue frames nobody will read. Its
+/// reader then reaps it: the writer flushes what was queued and exits,
+/// the socket is closed, the connection leaves the connection list and
+/// the route table, and the reader ends (its handle is joined at the next
+/// accept or at shutdown), so a long-running server holds threads and
+/// file descriptors only for its live peers. Word metering matches
 /// LoopbackTransport: every accepted message's payload size is counted
 /// once on the sending side (local sends by the embedded loopback, remote
 /// sends by the frame writer).
@@ -82,7 +87,8 @@ class SocketTransport final : public MessageBus {
   /// from; client: the single connection). `delivered` fires on the
   /// calling thread with the post-enqueue view, matching
   /// LoopbackTransport. Throws std::invalid_argument when the target is
-  /// neither local nor routable, std::logic_error after shutdown, and
+  /// neither local nor routable (a server's route goes once its
+  /// connection is reaped), std::logic_error after shutdown, and
   /// std::runtime_error when the target's connection is dead: its reader
   /// saw EOF (the peer closed) or a read or write on it failed.
   std::uint64_t message(noc::TerminalId initiator, noc::TerminalId target,
@@ -105,7 +111,7 @@ class SocketTransport final : public MessageBus {
   std::uint64_t frames_sent() const noexcept;
   /// Frames decoded off TCP connections.
   std::uint64_t frames_received() const noexcept;
-  /// Live TCP connections (server: accepted; client: 0 or 1).
+  /// Live TCP connections: accepted and not yet reaped (client: 0 or 1).
   std::size_t connection_count() const;
   /// First protocol/socket error observed, empty when none.
   std::string last_error() const;
@@ -113,14 +119,17 @@ class SocketTransport final : public MessageBus {
  private:
   /// One TCP peer: the socket plus its reader/writer threads. The writer
   /// drains `outbox` in order and exits only once it is empty and `stop`
-  /// is set, so shutdown never truncates queued frames.
+  /// is set, so shutdown never truncates queued frames. The reader joins
+  /// the writer when it exits. Held by shared_ptr so a message() that
+  /// looked the connection up keeps it alive while it is reaped.
   struct Connection {
     int fd = -1;
     std::thread reader;
     std::thread writer;
     std::mutex mu;
     std::condition_variable cv;
-    std::deque<std::vector<std::uint8_t>> outbox;
+    /// Whole frames, header words first.
+    std::deque<std::vector<std::uint32_t>> outbox;
     bool stop = false;
     /// The peer closed (reader EOF) or the socket failed (read or write
     /// error); sends to it now throw.
@@ -131,18 +140,22 @@ class SocketTransport final : public MessageBus {
 
   void start_connection(int fd);
   void accept_loop();
-  void reader_loop(Connection& conn);
+  void reader_loop(const std::shared_ptr<Connection>& conn);
   void writer_loop(Connection& conn);
   void record_error(const std::string& what);
-  void enqueue_frame(Connection& conn, std::vector<std::uint8_t> bytes);
+  void enqueue_frame(Connection& conn, std::vector<std::uint32_t> frame);
 
   LoopbackTransport local_;  ///< local terminals: mailbox + dispatcher
 
-  mutable std::mutex mu_;  ///< guards terminals_/routes_/conns_/state
+  /// Guards terminals_, routes_, conns_, reaped_readers_ and the state.
+  mutable std::mutex mu_;
   std::set<noc::TerminalId> local_terminals_;
   /// Server-side outbound routes, learned from inbound frame initiators.
-  std::map<noc::TerminalId, Connection*> routes_;
-  std::vector<std::unique_ptr<Connection>> conns_;
+  std::map<noc::TerminalId, std::shared_ptr<Connection>> routes_;
+  std::vector<std::shared_ptr<Connection>> conns_;
+  /// Readers of reaped connections, which have ended or are ending;
+  /// joined by the next start_connection() and by shutdown().
+  std::vector<std::thread> reaped_readers_;
   bool shut_down_ = false;
 
   int listen_fd_ = -1;

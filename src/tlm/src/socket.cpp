@@ -7,6 +7,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cstring>
@@ -16,32 +17,24 @@
 namespace soc::tlm {
 namespace {
 
+// Frames are sent and read as host words, which are the little-endian wire
+// words only on a little-endian host.
+static_assert(std::endian::native == std::endian::little,
+              "SocketTransport frames assume a little-endian host");
+
 /// Frame word 0: 'S' 'O' 'C' + protocol version 1.
 constexpr std::uint32_t kFrameMagic = 0x534F4301u;
 /// Header: magic, initiator, target, nwords.
-constexpr std::size_t kHeaderBytes = 16;
+constexpr std::size_t kHeaderWords = 4;
 /// Refuse absurd frames before allocating (16 Mi words = 64 MiB payload).
 constexpr std::uint32_t kMaxFrameWords = 1u << 24;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xFFu));
-  out.push_back(static_cast<std::uint8_t>((v >> 8) & 0xFFu));
-  out.push_back(static_cast<std::uint8_t>((v >> 16) & 0xFFu));
-  out.push_back(static_cast<std::uint8_t>((v >> 24) & 0xFFu));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  return static_cast<std::uint32_t>(p[0]) |
-         (static_cast<std::uint32_t>(p[1]) << 8) |
-         (static_cast<std::uint32_t>(p[2]) << 16) |
-         (static_cast<std::uint32_t>(p[3]) << 24);
-}
-
 /// Reads exactly `n` bytes; false on EOF or error.
-bool read_full(int fd, std::uint8_t* buf, std::size_t n) {
+bool read_full(int fd, void* buf, std::size_t n) {
+  auto* bytes = static_cast<char*>(buf);
   std::size_t got = 0;
   while (got < n) {
-    const ssize_t r = ::recv(fd, buf + got, n - got, 0);
+    const ssize_t r = ::recv(fd, bytes + got, n - got, 0);
     if (r > 0) {
       got += static_cast<std::size_t>(r);
       continue;
@@ -53,10 +46,11 @@ bool read_full(int fd, std::uint8_t* buf, std::size_t n) {
 }
 
 /// Writes exactly `n` bytes; false on error.
-bool write_full(int fd, const std::uint8_t* buf, std::size_t n) {
+bool write_full(int fd, const void* buf, std::size_t n) {
+  const auto* bytes = static_cast<const char*>(buf);
   std::size_t sent = 0;
   while (sent < n) {
-    const ssize_t r = ::send(fd, buf + sent, n - sent, MSG_NOSIGNAL);
+    const ssize_t r = ::send(fd, bytes + sent, n - sent, MSG_NOSIGNAL);
     if (r > 0) {
       sent += static_cast<std::size_t>(r);
       continue;
@@ -150,15 +144,20 @@ std::unique_ptr<SocketTransport> SocketTransport::connect(
 SocketTransport::~SocketTransport() { shutdown(); }
 
 void SocketTransport::start_connection(int fd) {
-  auto conn = std::make_unique<Connection>();
+  auto conn = std::make_shared<Connection>();
   conn->fd = fd;
-  Connection* raw = conn.get();
+  // The reader joins the writer, so the writer's handle is set first; the
+  // reader hands its own handle over under mu_, so that one is set under
+  // mu_.
+  conn->writer = std::thread([this, raw = conn.get()] { writer_loop(*raw); });
+  std::vector<std::thread> reaped;
   {
     const std::lock_guard<std::mutex> lock(mu_);
+    conn->reader = std::thread([this, conn] { reader_loop(conn); });
     conns_.push_back(std::move(conn));
+    reaped.swap(reaped_readers_);
   }
-  raw->reader = std::thread([this, raw] { reader_loop(*raw); });
-  raw->writer = std::thread([this, raw] { writer_loop(*raw); });
+  for (std::thread& reader : reaped) reader.join();
 }
 
 void SocketTransport::accept_loop() {
@@ -173,14 +172,11 @@ void SocketTransport::accept_loop() {
   }
 }
 
-void SocketTransport::reader_loop(Connection& conn) {
-  std::uint8_t header[kHeaderBytes];
+void SocketTransport::reader_loop(const std::shared_ptr<Connection>& conn) {
+  std::uint32_t header[kHeaderWords];
   for (;;) {
-    if (!read_full(conn.fd, header, kHeaderBytes)) break;  // peer closed
-    const std::uint32_t magic = get_u32(header);
-    const noc::TerminalId initiator = get_u32(header + 4);
-    const noc::TerminalId target = get_u32(header + 8);
-    const std::uint32_t nwords = get_u32(header + 12);
+    if (!read_full(conn->fd, header, sizeof header)) break;  // peer closed
+    const auto [magic, initiator, target, nwords] = header;
     if (magic != kFrameMagic) {
       record_error("bad frame magic from peer");
       break;
@@ -189,19 +185,17 @@ void SocketTransport::reader_loop(Connection& conn) {
       record_error("oversized frame from peer");
       break;
     }
-    std::vector<std::uint8_t> raw(static_cast<std::size_t>(nwords) * 4);
-    if (!read_full(conn.fd, raw.data(), raw.size())) {
+    std::vector<std::uint32_t> body(nwords);
+    if (!read_full(conn->fd, body.data(), nwords * sizeof(std::uint32_t))) {
       record_error("truncated frame from peer");
       break;
     }
-    std::vector<std::uint32_t> body(nwords);
-    for (std::uint32_t i = 0; i < nwords; ++i) body[i] = get_u32(&raw[i * 4]);
     frames_received_.fetch_add(1, std::memory_order_relaxed);
     {
       // Learn the return route: anything this peer sends tells us its
       // terminal lives behind this connection.
       const std::lock_guard<std::mutex> lock(mu_);
-      routes_[initiator] = &conn;
+      routes_[initiator] = conn;
     }
     try {
       // Serial decode per connection + the loopback's FIFO mailbox keep
@@ -211,23 +205,42 @@ void SocketTransport::reader_loop(Connection& conn) {
       record_error(std::string("inbound frame dropped: ") + e.what());
     }
   }
-  // The peer closed or broke the stream: it is gone, so sends to it now
-  // throw instead of queueing frames nobody will read.
-  const std::lock_guard<std::mutex> lock(conn.mu);
-  conn.dead = true;
+  // The peer closed or broke the stream, or the writer shut the socket
+  // down: sends to it throw from now on, and the writer exits once it has
+  // flushed what is queued.
+  {
+    const std::lock_guard<std::mutex> lock(conn->mu);
+    conn->dead = true;
+    conn->stop = true;
+  }
+  conn->cv.notify_all();
+  conn->writer.join();
+  // Reap the connection unless shutdown() is tearing everything down (it
+  // joins this thread and closes the socket itself). A message() that
+  // already holds the connection finds it dead. This thread ends right
+  // after; the next start_connection() or shutdown() joins it.
+  const std::lock_guard<std::mutex> lock(mu_);
+  if (shut_down_) return;
+  std::erase(conns_, conn);
+  std::erase_if(routes_, [&conn](const auto& route) {
+    return route.second == conn;
+  });
+  ::close(conn->fd);
+  reaped_readers_.push_back(std::move(conn->reader));
 }
 
 void SocketTransport::writer_loop(Connection& conn) {
   for (;;) {
-    std::vector<std::uint8_t> bytes;
+    std::vector<std::uint32_t> frame;
     {
       std::unique_lock<std::mutex> lock(conn.mu);
       conn.cv.wait(lock, [&conn] { return conn.stop || !conn.outbox.empty(); });
       if (conn.outbox.empty()) break;  // stop requested and fully flushed
-      bytes = std::move(conn.outbox.front());
+      frame = std::move(conn.outbox.front());
       conn.outbox.pop_front();
     }
-    if (!write_full(conn.fd, bytes.data(), bytes.size())) {
+    if (!write_full(conn.fd, frame.data(),
+                    frame.size() * sizeof(std::uint32_t))) {
       record_error("frame write failed");
       const std::lock_guard<std::mutex> lock(conn.mu);
       conn.dead = true;
@@ -236,8 +249,9 @@ void SocketTransport::writer_loop(Connection& conn) {
     }
     frames_sent_.fetch_add(1, std::memory_order_relaxed);
   }
-  // Half-close tells the peer's reader we are done sending.
-  ::shutdown(conn.fd, SHUT_WR);
+  // Done sending: the peer's reader sees EOF, and the cut read side ends
+  // this connection's reader.
+  ::shutdown(conn.fd, SHUT_RDWR);
 }
 
 void SocketTransport::attach(noc::TerminalId terminal, Endpoint& ep) {
@@ -259,7 +273,7 @@ std::uint64_t SocketTransport::message(noc::TerminalId initiator,
                                        noc::TerminalId target,
                                        std::vector<std::uint32_t> body,
                                        CompletionFn delivered) {
-  Connection* conn = nullptr;
+  std::shared_ptr<Connection> conn;
   bool local = false;
   {
     const std::lock_guard<std::mutex> lock(mu_);
@@ -270,9 +284,12 @@ std::uint64_t SocketTransport::message(noc::TerminalId initiator,
       local = true;
     } else if (const auto it = routes_.find(target); it != routes_.end()) {
       conn = it->second;
-    } else if (!is_server_ && !conns_.empty()) {
+    } else if (!is_server_) {
       // Client default route: everything non-local goes to the server.
-      conn = conns_.front().get();
+      if (conns_.empty()) {
+        throw std::runtime_error("SocketTransport: connection is down");
+      }
+      conn = conns_.front();
     } else {
       throw std::invalid_argument("SocketTransport: no route to terminal " +
                                   std::to_string(target));
@@ -280,15 +297,13 @@ std::uint64_t SocketTransport::message(noc::TerminalId initiator,
   }
   if (local) return local_.message(initiator, target, std::move(body), delivered);
 
-  std::vector<std::uint8_t> bytes;
-  bytes.reserve(kHeaderBytes + body.size() * 4);
-  put_u32(bytes, kFrameMagic);
-  put_u32(bytes, initiator);
-  put_u32(bytes, target);
-  put_u32(bytes, static_cast<std::uint32_t>(body.size()));
-  for (const std::uint32_t w : body) put_u32(bytes, w);
+  std::vector<std::uint32_t> frame;
+  frame.reserve(kHeaderWords + body.size());
+  frame.insert(frame.end(), {kFrameMagic, initiator, target,
+                             static_cast<std::uint32_t>(body.size())});
+  frame.insert(frame.end(), body.begin(), body.end());
   remote_words_.fetch_add(body.size(), std::memory_order_relaxed);
-  enqueue_frame(*conn, std::move(bytes));
+  enqueue_frame(*conn, std::move(frame));
   if (delivered) {
     // Same contract as LoopbackTransport: the callback reports acceptance
     // on the sending thread, not remote receipt.
@@ -302,13 +317,13 @@ std::uint64_t SocketTransport::message(noc::TerminalId initiator,
 }
 
 void SocketTransport::enqueue_frame(Connection& conn,
-                                    std::vector<std::uint8_t> bytes) {
+                                    std::vector<std::uint32_t> frame) {
   {
     const std::lock_guard<std::mutex> lock(conn.mu);
     if (conn.dead) {
       throw std::runtime_error("SocketTransport: connection is down");
     }
-    conn.outbox.push_back(std::move(bytes));
+    conn.outbox.push_back(std::move(frame));
   }
   conn.cv.notify_one();
 }
@@ -319,27 +334,28 @@ void SocketTransport::shutdown() {
     if (shut_down_) return;
     shut_down_ = true;
   }
-  // Stop accepting first so conns_ is stable below. On Linux a shutdown()
-  // of the listening socket unblocks accept() with an error.
+  // Stop accepting first so conns_ is stable below: readers stop reaping
+  // once shut_down_ is set. On Linux a shutdown() of the listening socket
+  // unblocks accept() with an error.
   if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
   if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  for (auto& conn : conns_) {
+  for (std::thread& reader : reaped_readers_) reader.join();
+  // Each writer flushes its outbox and shuts its socket down, which ends
+  // the reader, and the reader joins the writer.
+  for (const auto& conn : conns_) {
     {
       const std::lock_guard<std::mutex> lock(conn->mu);
       conn->stop = true;
     }
     conn->cv.notify_all();
-    if (conn->writer.joinable()) conn->writer.join();  // flushes outbox
-    // Writer already half-closed SHUT_WR; cut the read side so the reader
-    // unblocks even if the peer keeps its end open.
-    ::shutdown(conn->fd, SHUT_RD);
-    if (conn->reader.joinable()) conn->reader.join();
+  }
+  for (const auto& conn : conns_) {
+    conn->reader.join();
     ::close(conn->fd);
-    conn->fd = -1;
   }
   // Drain locally queued messages last (loopback semantics: nothing is
   // dropped, relays mid-drain included).

@@ -14,7 +14,9 @@
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <filesystem>
 #include <functional>
+#include <iterator>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -281,6 +283,43 @@ TEST(SocketTransport, ShutdownFlushesPendingWrites) {
   for (std::uint32_t i = 0; i < 500; ++i) {
     ASSERT_EQ(got[i][0], i) << "frame order broke at " << i;
   }
+  server->shutdown();
+}
+
+/// Entries in a /proc directory: the process's threads or open fds.
+std::size_t proc_entries(const char* dir) {
+  const std::filesystem::directory_iterator it(dir);
+  return static_cast<std::size_t>(std::distance(begin(it), end(it)));
+}
+
+TEST(SocketTransport, ClosedConnectionsAreReaped) {
+  // A server that outlives its clients must not keep a writer thread, a
+  // socket fd, a connection slot or a route per past client.
+  auto server = tlm::SocketTransport::listen(0);
+  Recorder rec;
+  server->attach(0, rec);
+  const std::size_t threads_before = proc_entries("/proc/self/task");
+  const std::size_t fds_before = proc_entries("/proc/self/fd");
+  for (std::uint32_t i = 0; i < 5; ++i) {
+    auto client = tlm::SocketTransport::connect("127.0.0.1", server->port());
+    client->message(1, 0, {i});
+    rec.wait_for(i + 1);
+    client->shutdown();
+  }
+  // Each server-side reader reaps its connection after the client's EOF.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while ((server->connection_count() != 0 ||
+          proc_entries("/proc/self/task") != threads_before ||
+          proc_entries("/proc/self/fd") != fds_before) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  EXPECT_EQ(server->connection_count(), 0u);
+  EXPECT_EQ(proc_entries("/proc/self/task"), threads_before);
+  EXPECT_EQ(proc_entries("/proc/self/fd"), fds_before);
+  // The route learned from the clients' frames went with the connection.
+  EXPECT_THROW(server->message(0, 1, {7}), std::invalid_argument);
   server->shutdown();
 }
 
