@@ -41,6 +41,11 @@ struct NetworkConfig {
 /// and accumulate per-hop pipeline + propagation latency. Runs on an
 /// external sim::EventQueue so it composes with the processor and platform
 /// models in the same simulation.
+///
+/// In-flight packets live in a recycled slot table; link queues and events
+/// carry slot indices, so a service-finish event captures {this, link} and
+/// an arrival {this, link, slot}. Both fit std::function's inline buffer,
+/// and a replay in steady state schedules its events without allocating.
 class Network {
  public:
   /// Delivery-notification callback type (see set_deliver).
@@ -61,7 +66,8 @@ class Network {
 
   /// Callback invoked when a packet is fully delivered at its destination
   /// NI. Must be set before the first delivery (typically right after
-  /// construction).
+  /// construction). The packet it receives stays valid for the whole call,
+  /// even when the callback injects more packets.
   void set_deliver(DeliverFn fn) { deliver_ = std::move(fn); }
 
   /// The routed topology this network simulates.
@@ -110,23 +116,29 @@ class Network {
 
  private:
   struct LinkState {
-    std::deque<Packet> queue;
+    std::deque<std::uint32_t> queue;  ///< packet slots, head first
     bool busy = false;
     std::uint64_t busy_cycles = 0;
-    /// Slots promised to packets in transit toward this link (VCT credit).
+    /// Queue places promised to packets in transit toward this link (VCT
+    /// credit).
     std::size_t reserved = 0;
     /// Links blocked waiting for space in this link's queue (credit wait).
     std::vector<int> waiters;
   };
 
-  void enqueue_on_link(int li, Packet p);
+  void enqueue_on_link(int li, std::uint32_t slot);
   void try_start_service(int li);
-  void arrive_at_router(int router, Packet p, bool count_hop);
-  void deliver_packet(Packet p);
+  /// The head packet of `li` has serialized: frees the link and sends the
+  /// packet on toward the router at the link's far end.
+  void finish_service(int li);
+  /// The packet in `slot` reaches the router at the far end of `li`.
+  void arrive(int li, std::uint32_t slot);
+  void deliver_packet(std::uint32_t slot);
   void kick_waiters(int li);
   bool has_space(int li) const noexcept;
-  /// Next link a packet sitting on `li` needs, or -1 for ejection.
-  int downstream_link(const Packet& p, int li) const;
+  /// Router a packet reaches over `li`: a topology link's far end, or for
+  /// an NI link the source terminal's attach router.
+  int far_router(const Packet& p, int li) const;
 
   std::unique_ptr<Topology> topology_;
   NetworkConfig cfg_;
@@ -134,6 +146,8 @@ class Network {
   DeliverFn deliver_;
 
   std::vector<LinkState> links_;  ///< topology links, then one NI link per terminal
+  std::vector<Packet> packets_;      ///< in-flight packets by slot
+  std::vector<std::uint32_t> free_;  ///< slots of packets_ free for reuse
   std::uint64_t next_packet_id_ = 1;
   std::uint64_t injected_ = 0;
   std::uint64_t delivered_count_ = 0;

@@ -33,9 +33,17 @@ std::uint64_t Network::inject(TerminalId src, TerminalId dst,
   p.injected_at = queue_.now();
   ++injected_;
   ++in_flight_;
+  auto slot = static_cast<std::uint32_t>(packets_.size());
+  if (free_.empty()) {
+    packets_.push_back(p);
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    packets_[slot] = p;
+  }
   const int ni_link = static_cast<int>(topology_->links().size()) +
                       static_cast<int>(src);
-  enqueue_on_link(ni_link, p);
+  enqueue_on_link(ni_link, slot);
   return p.id;
 }
 
@@ -45,17 +53,16 @@ bool Network::has_space(int li) const noexcept {
   return ls.queue.size() + ls.reserved < cfg_.queue_capacity_pkts;
 }
 
-int Network::downstream_link(const Packet& p, int li) const {
+int Network::far_router(const Packet& p, int li) const {
   const auto num_topo = static_cast<int>(topology_->links().size());
-  const int to_router =
-      li < num_topo ? topology_->links()[static_cast<std::size_t>(li)].to_router
-                    : topology_->attach_router(p.src);
-  return topology_->route(to_router, p.dst);
+  return li < num_topo
+             ? topology_->links()[static_cast<std::size_t>(li)].to_router
+             : topology_->attach_router(p.src);
 }
 
-void Network::enqueue_on_link(int li, Packet p) {
+void Network::enqueue_on_link(int li, std::uint32_t slot) {
   auto& ls = links_[static_cast<std::size_t>(li)];
-  ls.queue.push_back(std::move(p));
+  ls.queue.push_back(slot);
   max_queue_depth_ = std::max(max_queue_depth_, ls.queue.size());
   try_start_service(li);
 }
@@ -64,8 +71,8 @@ void Network::try_start_service(int li) {
   auto& ls = links_[static_cast<std::size_t>(li)];
   if (ls.busy || ls.queue.empty()) return;
 
-  const Packet& head = ls.queue.front();
-  const int next = downstream_link(head, li);
+  const Packet& head = packets_[ls.queue.front()];
+  const int next = topology_->route(far_router(head, li), head.dst);
   if (next >= 0 && !has_space(next)) {
     auto& down = links_[static_cast<std::size_t>(next)];
     if (std::find(down.waiters.begin(), down.waiters.end(), li) ==
@@ -81,48 +88,49 @@ void Network::try_start_service(int li) {
   const double bw =
       is_topo_link ? topology_->links()[static_cast<std::size_t>(li)].bandwidth
                    : 1.0;
+  ls.busy = true;
+  const auto serialize = static_cast<sim::Cycle>(
+      std::max(1.0, std::ceil(static_cast<double>(head.size_flits) / bw)));
+  ls.busy_cycles += serialize;
+  queue_.schedule_in(serialize, [this, li] { finish_service(li); });
+}
+
+void Network::finish_service(int li) {
+  auto& link = links_[static_cast<std::size_t>(li)];
+  const std::uint32_t slot = link.queue.front();
+  link.queue.pop_front();
+  link.busy = false;
+  kick_waiters(li);
+  const auto num_topo = static_cast<int>(topology_->links().size());
+  const bool is_topo_link = li < num_topo;
   const std::uint32_t extra =
       is_topo_link
           ? topology_->links()[static_cast<std::size_t>(li)].extra_latency +
                 cfg_.link_latency_cycles
           : cfg_.ni_latency_cycles;
-  const int to_router =
-      is_topo_link ? topology_->links()[static_cast<std::size_t>(li)].to_router
-                   : topology_->attach_router(head.src);
-
-  ls.busy = true;
-  const auto serialize = static_cast<sim::Cycle>(
-      std::max(1.0, std::ceil(static_cast<double>(head.size_flits) / bw)));
-  ls.busy_cycles += serialize;
-
-  queue_.schedule_in(serialize, [this, li, extra, to_router, is_topo_link] {
-    auto& link = links_[static_cast<std::size_t>(li)];
-    Packet p = std::move(link.queue.front());
-    link.queue.pop_front();
-    link.busy = false;
-    kick_waiters(li);
-    const sim::Cycle hop_latency = extra + cfg_.router_pipeline_cycles;
-    queue_.schedule_in(hop_latency, [this, p = std::move(p), to_router,
-                                     is_topo_link]() mutable {
-      arrive_at_router(to_router, std::move(p), is_topo_link);
-    });
-    try_start_service(li);
-  });
+  const sim::Cycle hop_latency = extra + cfg_.router_pipeline_cycles;
+  queue_.schedule_in(hop_latency, [this, li, slot] { arrive(li, slot); });
+  try_start_service(li);
 }
 
-void Network::arrive_at_router(int router, Packet p, bool count_hop) {
-  if (count_hop) ++p.hops;
-  const int next = topology_->route(router, p.dst);
+void Network::arrive(int li, std::uint32_t slot) {
+  Packet& p = packets_[slot];
+  if (li < static_cast<int>(topology_->links().size())) ++p.hops;
+  const int next = topology_->route(far_router(p, li), p.dst);
   if (next < 0) {
-    deliver_packet(std::move(p));
+    deliver_packet(slot);
     return;
   }
   auto& down = links_[static_cast<std::size_t>(next)];
   if (down.reserved > 0) --down.reserved;
-  enqueue_on_link(next, std::move(p));
+  enqueue_on_link(next, slot);
 }
 
-void Network::deliver_packet(Packet p) {
+void Network::deliver_packet(std::uint32_t slot) {
+  // Copy the packet out and free its slot first: the callback may inject,
+  // which can reuse the slot or grow (and so move) the table.
+  Packet p = packets_[slot];
+  free_.push_back(slot);
   p.delivered_at = queue_.now();
   ++delivered_count_;
   --in_flight_;

@@ -2,7 +2,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 #include "soc/sim/types.hpp"
@@ -13,6 +12,11 @@ namespace soc::sim {
 /// were scheduled (FIFO tie-break via sequence numbers), which makes runs
 /// fully deterministic — a hard requirement for regression-testing the
 /// platform simulator.
+///
+/// The binary heap orders plain (time, seq, slot) keys; each action waits
+/// in a slot of a recycled table, so sifting moves 24-byte keys and never
+/// an action, and a steady-state simulation schedules without allocating
+/// (an action small enough for std::function's inline buffer needs none).
 class EventQueue {
  public:
   using Action = std::function<void()>;
@@ -40,26 +44,30 @@ class EventQueue {
   /// Number of pending events.
   std::size_t pending() const noexcept { return heap_.size(); }
 
-  /// Discards every pending event and rewinds the clock to cycle 0, so one
-  /// queue can be reused across independent simulation runs (the mapping
-  /// validator re-runs many short simulations on a single queue instead of
-  /// reallocating the event heap per run). Sequence numbers keep advancing,
-  /// which preserves FIFO determinism across the reuse boundary.
+  /// Discards every pending event (destroying its action) and rewinds the
+  /// clock to cycle 0, so one queue can be reused across independent
+  /// simulation runs (the mapping validator re-runs many short simulations
+  /// on a single queue and keeps the heap's and the table's capacity).
+  /// Sequence numbers keep advancing, which preserves FIFO determinism
+  /// across the reuse boundary.
   void reset() noexcept;
 
  private:
-  struct Entry {
+  struct Key {
     Cycle time;
     std::uint64_t seq;
-    Action fn;
+    std::uint32_t slot;  ///< index of the action in actions_
   };
+  /// Heap comparator: the earliest (time, seq) key sits at the front.
   struct Later {
-    bool operator()(const Entry& a, const Entry& b) const noexcept {
+    bool operator()(const Key& a, const Key& b) const noexcept {
       return a.time != b.time ? a.time > b.time : a.seq > b.seq;
     }
   };
 
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  std::vector<Key> heap_;            ///< binary min-heap under Later
+  std::vector<Action> actions_;      ///< pending actions by slot
+  std::vector<std::uint32_t> free_;  ///< slots of actions_ free for reuse
   Cycle now_ = 0;
   std::uint64_t next_seq_ = 0;
 };

@@ -1,5 +1,6 @@
 #include "soc/sim/event_queue.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 #include <utility>
 
@@ -9,23 +10,37 @@ void EventQueue::schedule_at(Cycle at, Action fn) {
   if (at < now_) {
     throw std::logic_error("EventQueue::schedule_at: event scheduled in the past");
   }
-  heap_.push(Entry{at, next_seq_++, std::move(fn)});
+  auto slot = static_cast<std::uint32_t>(actions_.size());
+  if (free_.empty()) {
+    actions_.push_back(std::move(fn));
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+    actions_[slot] = std::move(fn);
+  }
+  heap_.push_back(Key{at, next_seq_++, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
 }
 
 bool EventQueue::step() {
   if (heap_.empty()) return false;
-  // priority_queue::top() is const; move out via const_cast is UB-adjacent,
-  // so copy the small fields and move the action through a local pop pattern.
-  Entry e = std::move(const_cast<Entry&>(heap_.top()));
-  heap_.pop();
-  now_ = e.time;
-  e.fn();
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Key k = heap_.back();
+  heap_.pop_back();
+  now_ = k.time;
+  // Take the action out before running it: it may schedule more events,
+  // which can reuse its slot or grow (and so move) the table. The swap
+  // leaves the slot empty, so the captures die with `fn` when it returns.
+  Action fn;
+  fn.swap(actions_[k.slot]);
+  free_.push_back(k.slot);
+  fn();
   return true;
 }
 
 std::uint64_t EventQueue::run_until(Cycle limit) {
   std::uint64_t ran = 0;
-  while (!heap_.empty() && heap_.top().time <= limit) {
+  while (!heap_.empty() && heap_.front().time <= limit) {
     step();
     ++ran;
   }
@@ -40,7 +55,9 @@ std::uint64_t EventQueue::run_all() {
 }
 
 void EventQueue::reset() noexcept {
-  while (!heap_.empty()) heap_.pop();
+  heap_.clear();
+  actions_.clear();
+  free_.clear();
   now_ = 0;
 }
 

@@ -48,10 +48,12 @@ class LoopbackTransport final : public MessageBus {
   void attach(noc::TerminalId terminal, Endpoint& ep) override;
 
   /// Enqueues a one-way message into `target`'s mailbox; the target's
-  /// dispatcher thread invokes Endpoint::handle and then `delivered` (on
-  /// that thread). Throws std::invalid_argument when no endpoint is
-  /// attached at `target`. Safe to call from any thread, including from
-  /// inside another endpoint's handle().
+  /// dispatcher thread later invokes Endpoint::handle. `delivered` reports
+  /// acceptance, not receipt: it runs on the calling thread right after the
+  /// enqueue, before message() returns and possibly before handle() runs.
+  /// Throws std::invalid_argument when no endpoint is attached at
+  /// `target`. Safe to call from any thread, including from inside another
+  /// endpoint's handle().
   std::uint64_t message(noc::TerminalId initiator, noc::TerminalId target,
                         std::vector<std::uint32_t> body,
                         CompletionFn delivered = nullptr) override;

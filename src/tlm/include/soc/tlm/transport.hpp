@@ -41,9 +41,12 @@ class MessageBus {
   /// Attaches `ep` (not owned) to `terminal`. One endpoint per terminal.
   virtual void attach(noc::TerminalId terminal, Endpoint& ep) = 0;
 
-  /// One-way message (no response packet). `delivered` (optional) fires
-  /// when the message reaches the target endpoint. Returns a bus-unique
-  /// message id.
+  /// One-way message (no response packet). When `delivered` (optional)
+  /// fires is each bus's rule: the simulated Transport calls it on
+  /// delivery, right after the target's handle(); LoopbackTransport and
+  /// SocketTransport call it on the sending thread once the message is
+  /// enqueued, before message() returns and possibly before handle() runs.
+  /// Returns a bus-unique message id.
   virtual std::uint64_t message(noc::TerminalId initiator,
                                 noc::TerminalId target,
                                 std::vector<std::uint32_t> body,
@@ -75,7 +78,8 @@ class Transport : public MessageBus {
                       CompletionFn done);
 
   /// One-way message (no response packet). `delivered` (optional) fires
-  /// when the message reaches the target endpoint.
+  /// on delivery, in simulated time, right after the target endpoint's
+  /// handle().
   std::uint64_t message(noc::TerminalId initiator, noc::TerminalId target,
                         std::vector<std::uint32_t> body,
                         CompletionFn delivered = nullptr) override;

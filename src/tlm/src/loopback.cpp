@@ -57,8 +57,6 @@ std::uint64_t LoopbackTransport::message(noc::TerminalId initiator,
   txn.payload = std::move(body);
   {
     const std::lock_guard<std::mutex> lock(box->mu);
-    // `delivered` rides along by wrapping the queue entry: the dispatcher
-    // invokes handle() then the callback, both outside the mailbox lock.
     box->queue.push_back(std::move(txn));
   }
   enqueued_.fetch_add(1, std::memory_order_release);

@@ -326,5 +326,36 @@ TEST(Network, BackpressureDoesNotLoseOrReorderFlow) {
   }
 }
 
+TEST(Network, DeliveredPacketOutlivesInjectionsFromItsCallback) {
+  // Closed-loop replay injects from inside the deliver callback. Those
+  // injections may take the delivered packet's freed slot and grow the
+  // in-flight table; the packet the callback holds must not change.
+  Harness h(make_mesh(16));
+  int injected_in_callback = 0;
+  h.net.set_deliver([&](const Packet& p) {
+    h.delivered.push_back(p);
+    if (p.tag != 7) return;
+    const Packet before = p;
+    for (int i = 0; i < 64; ++i) {
+      h.net.inject(p.dst, static_cast<TerminalId>(i % 16), 2);
+      ++injected_in_callback;
+    }
+    EXPECT_EQ(p.id, before.id);
+    EXPECT_EQ(p.src, before.src);
+    EXPECT_EQ(p.dst, before.dst);
+    EXPECT_EQ(p.tag, before.tag);
+    EXPECT_EQ(p.hops, before.hops);
+    EXPECT_EQ(p.injected_at, before.injected_at);
+    EXPECT_EQ(p.delivered_at, before.delivered_at);
+  });
+  h.net.inject(0, 15, 8, /*tag=*/7);
+  h.queue.run_all();
+  EXPECT_EQ(injected_in_callback, 64);
+  ASSERT_EQ(h.delivered.size(), 65u);
+  EXPECT_EQ(h.delivered[0].tag, 7u);
+  EXPECT_EQ(h.delivered[0].hops, 6u);
+  EXPECT_EQ(h.net.in_flight(), 0u);
+}
+
 }  // namespace
 }  // namespace soc::noc

@@ -3,10 +3,16 @@
 // range (claim C5 instrumentation).
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <ostream>
 #include <stdexcept>
+#include <string>
 #include <tuple>
 
+#include "soc/noc/floorplan.hpp"
 #include "soc/noc/traffic.hpp"
+#include "soc/tech/process_node.hpp"
 
 namespace soc::noc {
 namespace {
@@ -279,6 +285,120 @@ TEST(PatternDifficulty, NeighborEasierThanBitComplementOnRing) {
   const double sat_nb = find_saturation_rate(TopologyKind::kRing, 16, {}, nb, m);
   const double sat_bc = find_saturation_rate(TopologyKind::kRing, 16, {}, bc, m);
   EXPECT_GT(sat_nb, sat_bc * 1.5);
+}
+
+// ------------------------------------------------------- pinned replays ---
+// The simulator's figures are pinned, not only its invariants: a kernel
+// change that reorders two same-cycle events, or loses a credit wake-up,
+// still conserves packets and stays deterministic, but moves these digests.
+// Each covers the values the mapping validator and the load sweeps read.
+
+struct ReplayDigest {
+  std::size_t words = 0;
+  std::uint64_t fnv = 0xcbf29ce484222325ull;
+  std::uint64_t mix = 0x9e3779b97f4a7c15ull;
+  bool operator==(const ReplayDigest&) const = default;
+
+  void add(std::uint64_t w) {
+    ++words;
+    fnv = (fnv ^ w) * 0x100000001b3ull;
+    mix = (mix ^ w) * 0xbf58476d1ce4e5b9ull;
+    mix ^= mix >> 31;
+  }
+  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
+};
+
+std::ostream& operator<<(std::ostream& os, const ReplayDigest& d) {
+  return os << "{" << d.words << ", 0x" << std::hex << d.fnv << ", 0x"
+            << d.mix << std::dec << "}";
+}
+
+/// Replays eight contending flows on an 8-terminal topology the way the
+/// mapping validator does (warm up, reset both windows, measure, stop) and
+/// digests rounds, per-flow statistics, every link's busy cycles and the
+/// peak queue depth.
+ReplayDigest replay_digest(std::unique_ptr<Topology> topo,
+                           ReplayConfig::Mode mode) {
+  sim::EventQueue q;
+  Network net(std::move(topo), {}, q);
+  ReplayConfig rc;
+  rc.mode = mode;
+  rc.period = 24;
+  rc.max_outstanding_rounds = 3;
+  FlowReplayer rep(net,
+                   {Flow{0, 5, 3}, Flow{1, 5, 8}, Flow{2, 7, 1}, Flow{6, 0, 5},
+                    Flow{4, 3, 12}, Flow{7, 2, 2}, Flow{5, 1, 6},
+                    Flow{3, 6, 4}},
+                   rc, q);
+  rep.start();
+  q.run_until(500);
+  net.reset_stats();
+  rep.reset_stats();
+  q.run_until(3'000);
+  rep.stop();
+
+  ReplayDigest d;
+  d.add(rep.rounds_injected());
+  d.add(rep.rounds_completed());
+  for (std::size_t f = 0; f < rep.flow_count(); ++f) {
+    d.add(rep.stats(f).delivered);
+    d.add(rep.stats(f).latency_sum);
+    d.add(rep.stats(f).latency_max);
+  }
+  for (std::size_t li = 0; li < net.link_count(); ++li) {
+    d.add(net.link_busy_cycles(li));
+  }
+  d.add(static_cast<std::uint64_t>(net.max_queue_depth()));
+  return d;
+}
+
+TEST(PinnedReplay, FlowReplayFiguresMatchPinnedDigests) {
+  const PhysicalSpec phys{LinkTimingModel(*tech::find_node("65nm")), 225.0};
+  const auto open = ReplayConfig::Mode::kOpenLoop;
+  const auto closed = ReplayConfig::Mode::kClosedLoop;
+  const struct {
+    std::string name;
+    ReplayDigest got;
+    ReplayDigest pinned;
+  } cases[] = {
+      {"bus open", replay_digest(make_bus(8), open),
+       {52, 0xdfe57756c354af3bull, 0x460821f2cb289a65ull}},
+      {"bus closed", replay_digest(make_bus(8), closed),
+       {52, 0x18eabf72c28e0b4cull, 0xe8b4d42d6d87f44eull}},
+      {"mesh open", replay_digest(make_mesh(8), open),
+       {59, 0x7d923a77ebec3f9cull, 0xab5991b4f519251bull}},
+      {"mesh closed", replay_digest(make_mesh(8), closed),
+       {59, 0xae1e9b9cbd785446ull, 0x59d9f9e5b5a51726ull}},
+      {"fat-tree open", replay_digest(make_fat_tree(8), open),
+       {63, 0x37528021565c1861ull, 0x87f82cee1bb2ee46ull}},
+      {"fat-tree closed", replay_digest(make_fat_tree(8), closed),
+       {63, 0x891ac727c3ddc815ull, 0x38bb82235df6745full}},
+      {"crossbar open", replay_digest(make_crossbar(8), open),
+       {51, 0xdb0e44b5b2e465caull, 0xbb7a07efda34de79ull}},
+      {"crossbar closed 65nm", replay_digest(make_crossbar(8, &phys), closed),
+       {51, 0x5930a2813ff45f49ull, 0x09fbfd6bac898717ull}},
+  };
+  for (const auto& c : cases) EXPECT_EQ(c.got, c.pinned) << c.name;
+}
+
+TEST(PinnedReplay, CreditLimitedLoadPointMatchesPinnedDigest) {
+  // Two-packet link queues under a uniform load that saturates them: the
+  // credit reservations and waiter wake-ups that unbounded replays (the
+  // mapping validator's) never reach.
+  NetworkConfig tight;
+  tight.queue_capacity_pkts = 2;
+  const LoadPoint pt = measure_load_point(
+      TopologyKind::kMesh2D, 16, tight,
+      TrafficConfig{TrafficPattern::kUniform, 0.35, 4, 0.2, 11},
+      MeasureConfig{1'000, 6'000});
+  ReplayDigest d;
+  d.add(pt.delivered);
+  d.add(static_cast<std::uint64_t>(pt.max_queue_depth));
+  d.add(pt.accepted_flits_per_node_cycle);
+  d.add(pt.avg_latency);
+  d.add(pt.p99_latency);
+  d.add(pt.avg_hops);
+  EXPECT_EQ(d, (ReplayDigest{6, 0x9160eb4de3feaa0bull, 0x2d1f7f0699b62f73ull}));
 }
 
 }  // namespace

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "soc/sim/engine.hpp"
@@ -344,6 +346,99 @@ TEST(EventQueue, ReusableAfterResetWithEarlierTimestamps) {
   q.run_all();
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
   EXPECT_EQ(q.now(), 5u);
+}
+
+/// Delays of the events that event `id` schedules when it runs: a pure
+/// function of the id, so the queue under test and the reference model
+/// grow the same schedule. Zero to two children, a third of them at delay
+/// 0; none past id 3,000, so every cascade ends.
+std::vector<Cycle> child_delays(int id) {
+  if (id >= 3'000) return {};
+  Rng r(static_cast<std::uint64_t>(id) * 0x9e3779b97f4a7c15ull + 1);
+  std::vector<Cycle> delays(r.next_below(4) % 3);
+  for (Cycle& d : delays) d = r.next_below(3);
+  return delays;
+}
+
+/// The reference model of the queue's contract: the next event is the
+/// pending one with the least (time, scheduling order). Ids are handed out
+/// in scheduling order, so that is the least (time, id).
+struct ReferenceQueue {
+  void schedule_at(Cycle at) { pending.emplace_back(at, next_id++); }
+  void run_until(Cycle limit) {
+    for (;;) {
+      const auto it = std::min_element(pending.begin(), pending.end());
+      if (it == pending.end() || it->first > limit) break;
+      const auto [at, id] = *it;
+      pending.erase(it);
+      now = at;
+      ran.emplace_back(at, id);
+      for (const Cycle d : child_delays(id)) schedule_at(now + d);
+    }
+    now = std::max(now, limit);
+  }
+  void reset() {
+    pending.clear();
+    now = 0;
+  }
+  std::vector<std::pair<Cycle, int>> pending;
+  std::vector<std::pair<Cycle, int>> ran;
+  Cycle now = 0;
+  int next_id = 0;
+};
+
+/// Drives an EventQueue with the same ids; every action holds a copy of
+/// `token`, so its use count tells how many captures are alive.
+struct QueueUnderTest {
+  void schedule_at(Cycle at) {
+    const int id = next_id++;
+    q.schedule_at(at, [this, id, hold = token] {
+      ran.emplace_back(q.now(), id);
+      for (const Cycle d : child_delays(id)) schedule_at(q.now() + d);
+    });
+  }
+  EventQueue q;
+  std::shared_ptr<int> token = std::make_shared<int>(0);
+  std::vector<std::pair<Cycle, int>> ran;
+  int next_id = 0;
+};
+
+TEST(EventQueue, MatchesStableTimeOrderReferenceModel) {
+  // A seeded schedule with heavy same-cycle ties, actions that schedule
+  // more actions (at delay 0 too), run_until limits interleaved with new
+  // top-level events, and a reset() part-way: the executed order must be
+  // the stable order by (time, scheduling order), and each capture must
+  // die once its action has run or been discarded.
+  Rng rng(20);
+  QueueUnderTest sut;
+  ReferenceQueue model;
+  for (int round = 0; round < 400; ++round) {
+    if (round == 200) {
+      ASSERT_GT(sut.q.pending(), 0u);  // the reset discards live events
+      sut.q.reset();
+      model.reset();
+      EXPECT_EQ(sut.token.use_count(), 1);
+    }
+    for (std::uint64_t n = rng.next_below(5); n > 0; --n) {
+      const Cycle at = model.now + rng.next_below(3);
+      sut.schedule_at(at);
+      model.schedule_at(at);
+    }
+    const Cycle limit = model.now + rng.next_below(3);
+    sut.q.run_until(limit);
+    model.run_until(limit);
+    ASSERT_EQ(sut.ran, model.ran) << "round " << round;
+    ASSERT_EQ(sut.q.now(), model.now);
+    ASSERT_EQ(sut.q.pending(), model.pending.size());
+    // One reference here, one per pending action: none left by a run.
+    ASSERT_EQ(sut.token.use_count(),
+              static_cast<long>(1 + sut.q.pending()));
+  }
+  sut.q.run_all();
+  model.run_until(kNeverCycle);
+  EXPECT_EQ(sut.ran, model.ran);
+  EXPECT_EQ(sut.token.use_count(), 1);
+  EXPECT_GT(model.ran.size(), 1'000u);
 }
 
 // --------------------------------------------------------------- Engine ---
