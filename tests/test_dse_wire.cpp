@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <ostream>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -16,6 +15,7 @@
 #include "soc/core/dse_session.hpp"
 #include "soc/core/dse_wire.hpp"
 #include "soc/core/objective_space.hpp"
+#include "pinned_digest.hpp"
 
 namespace soc::core {
 namespace {
@@ -145,28 +145,9 @@ TEST(DseWire, PointRoundTrip) {
   EXPECT_TRUE(back.sim_network_saturated);
 }
 
-/// A 128-bit digest of a word stream — two independent 64-bit lanes (FNV-1a
-/// and a multiply-xorshift mix) — plus its length, so a pinned encoding
-/// fits on a line and any drift in any word changes it.
-struct WordsDigest {
-  std::size_t words = 0;
-  std::uint64_t fnv = 0;
-  std::uint64_t mix = 0;
-  bool operator==(const WordsDigest&) const = default;
-};
-
-std::ostream& operator<<(std::ostream& os, const WordsDigest& d) {
-  return os << "{" << d.words << ", 0x" << std::hex << d.fnv << ", 0x"
-            << d.mix << std::dec << "}";
-}
-
-WordsDigest digest(const std::vector<std::uint32_t>& words) {
-  WordsDigest d{words.size(), 0xcbf29ce484222325ull, 0x9e3779b97f4a7c15ull};
-  for (const std::uint32_t w : words) {
-    d.fnv = (d.fnv ^ w) * 0x100000001b3ull;
-    d.mix = (d.mix ^ w) * 0xbf58476d1ce4e5b9ull;
-    d.mix ^= d.mix >> 31;
-  }
+PinnedDigest digest(const std::vector<std::uint32_t>& words) {
+  PinnedDigest d;
+  for (const std::uint32_t w : words) d.add(std::uint64_t{w});
   return d;
 }
 
@@ -223,9 +204,9 @@ TEST(DseWire, EncodingMatchesPinnedWords) {
   // re-typed field still round-trips), so the words themselves are pinned.
   // A change here breaks every client and daemon built before it.
   EXPECT_EQ(digest(marshal_sweep_request(sample_request())),
-            (WordsDigest{342, 0xddf5eb728db041bbull, 0x31d0bc27dff52554ull}));
+            (PinnedDigest{342, 0xddf5eb728db041bbull, 0x31d0bc27dff52554ull}));
   EXPECT_EQ(digest(marshal_point(full_point())),
-            (WordsDigest{128, 0x0479b7692fc0566cull, 0x5fc1a8d6f59d1d29ull}));
+            (PinnedDigest{128, 0x0479b7692fc0566cull, 0x5fc1a8d6f59d1d29ull}));
 }
 
 TEST(DseWire, WireWordsCountsTheEncodedPoint) {

@@ -3,9 +3,8 @@
 // range (claim C5 instrumentation).
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
-#include <ostream>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <tuple>
@@ -13,6 +12,7 @@
 #include "soc/noc/floorplan.hpp"
 #include "soc/noc/traffic.hpp"
 #include "soc/tech/process_node.hpp"
+#include "pinned_digest.hpp"
 
 namespace soc::noc {
 namespace {
@@ -293,31 +293,11 @@ TEST(PatternDifficulty, NeighborEasierThanBitComplementOnRing) {
 // still conserves packets and stays deterministic, but moves these digests.
 // Each covers the values the mapping validator and the load sweeps read.
 
-struct ReplayDigest {
-  std::size_t words = 0;
-  std::uint64_t fnv = 0xcbf29ce484222325ull;
-  std::uint64_t mix = 0x9e3779b97f4a7c15ull;
-  bool operator==(const ReplayDigest&) const = default;
-
-  void add(std::uint64_t w) {
-    ++words;
-    fnv = (fnv ^ w) * 0x100000001b3ull;
-    mix = (mix ^ w) * 0xbf58476d1ce4e5b9ull;
-    mix ^= mix >> 31;
-  }
-  void add(double v) { add(std::bit_cast<std::uint64_t>(v)); }
-};
-
-std::ostream& operator<<(std::ostream& os, const ReplayDigest& d) {
-  return os << "{" << d.words << ", 0x" << std::hex << d.fnv << ", 0x"
-            << d.mix << std::dec << "}";
-}
-
 /// Replays eight contending flows on an 8-terminal topology the way the
 /// mapping validator does (warm up, reset both windows, measure, stop) and
 /// digests rounds, per-flow statistics, every link's busy cycles and the
 /// peak queue depth.
-ReplayDigest replay_digest(std::unique_ptr<Topology> topo,
+PinnedDigest replay_digest(std::unique_ptr<Topology> topo,
                            ReplayConfig::Mode mode) {
   sim::EventQueue q;
   Network net(std::move(topo), {}, q);
@@ -337,7 +317,7 @@ ReplayDigest replay_digest(std::unique_ptr<Topology> topo,
   q.run_until(3'000);
   rep.stop();
 
-  ReplayDigest d;
+  PinnedDigest d;
   d.add(rep.rounds_injected());
   d.add(rep.rounds_completed());
   for (std::size_t f = 0; f < rep.flow_count(); ++f) {
@@ -358,8 +338,8 @@ TEST(PinnedReplay, FlowReplayFiguresMatchPinnedDigests) {
   const auto closed = ReplayConfig::Mode::kClosedLoop;
   const struct {
     std::string name;
-    ReplayDigest got;
-    ReplayDigest pinned;
+    PinnedDigest got;
+    PinnedDigest pinned;
   } cases[] = {
       {"bus open", replay_digest(make_bus(8), open),
        {52, 0xdfe57756c354af3bull, 0x460821f2cb289a65ull}},
@@ -391,14 +371,14 @@ TEST(PinnedReplay, CreditLimitedLoadPointMatchesPinnedDigest) {
       TopologyKind::kMesh2D, 16, tight,
       TrafficConfig{TrafficPattern::kUniform, 0.35, 4, 0.2, 11},
       MeasureConfig{1'000, 6'000});
-  ReplayDigest d;
+  PinnedDigest d;
   d.add(pt.delivered);
   d.add(static_cast<std::uint64_t>(pt.max_queue_depth));
   d.add(pt.accepted_flits_per_node_cycle);
   d.add(pt.avg_latency);
   d.add(pt.p99_latency);
   d.add(pt.avg_hops);
-  EXPECT_EQ(d, (ReplayDigest{6, 0x9160eb4de3feaa0bull, 0x2d1f7f0699b62f73ull}));
+  EXPECT_EQ(d, (PinnedDigest{6, 0x9160eb4de3feaa0bull, 0x2d1f7f0699b62f73ull}));
 }
 
 }  // namespace

@@ -4,32 +4,37 @@
 Alternating pairs of dsebench runs, one verdict per end-to-end metric.
 
     python3 tools/bench_ab.py --base <rev> [--workloads new_app,rerank]
-                              [--seeds 201-210] [--pairs 1] [--seconds 12]
+                              [--seeds 201-210] [--pairs 1]
                               [--work-dir .bench_ab] [--claim <workload>:<metric>]
-    python3 tools/bench_ab.py --base-tree <dir> ...
     python3 tools/bench_ab.py --self-check
 
 It compares the checkout it sits in. The base revision is checked out with
-`git worktree` under the work directory and removed again at the end
-(--base-tree compares against an existing checkout instead). Each side
-builds into its own CARGO_TARGET_DIR under the work directory through its
-own dsebench/run.py, the benchmark's entry point; build output goes to
-<work-dir>/<side>.log. For every workload and seed it runs N pairs,
-alternating which side goes first, then prints for each end-to-end metric of
-BENCHMARK.json each side's median and quartiles, the change's delta, the
-pairs the change won, and a verdict:
+`git worktree` under the work directory and removed again at the end. Each
+side builds into its own CARGO_TARGET_DIR under the work directory through
+its own dsebench/run.py, the benchmark's entry point, and every run lasts
+BENCHMARK.json's run_seconds; build output goes to <work-dir>/<side>.log.
+For every workload and seed it runs N pairs, alternating which side goes
+first, then prints for each end-to-end metric of BENCHMARK.json each side's
+median and quartiles, the change's delta, the pairs the change won, and a
+verdict:
 
-  gain    over at least 10 pairs, the change won at least 9 of every 10 and
-          its median lies beyond the base's interquartile range, on the
-          better side;
-  worse   the change's median is worse than the base's by more than the
-          metric's bound;
-  within  neither.
+  gain        over at least 10 pairs, the change won at least 9 of every 10
+              and its median lies beyond the base's interquartile range, on
+              the better side;
+  unresolved  not a gain, the base's interquartile range is wider than the
+              metric's bound (relative to the base's median), and some change
+              run reads no better than some base run: the runs spread too
+              widely to tell a regression from noise;
+  worse       the change's median is worse than the base's by more than the
+              metric's bound;
+  within      none of these.
 
-It exits 1 when the two runs of a pair print different `# digest` lines, any
-run reports `correct: false`, the change fails a larger share of operations
-than the base, any metric is `worse`, or a --claim'ed metric is not a
-`gain`. The last line is a one-paragraph summary for a change log.
+The overall verdict is FAIL when the two runs of a pair print different
+`# digest` lines, any run reports `correct: false`, the change fails a
+larger share of operations than the base, any metric is `worse`, or a
+--claim'ed metric is not a `gain`; otherwise it is `unresolved` when any
+metric is, and `pass` when none is. It exits 0 only on `pass`. The last line
+is a one-paragraph summary for a change log.
 --self-check feeds canned samples through the verdict rule and the output
 parser instead of running anything.
 """
@@ -38,9 +43,11 @@ import argparse
 import json
 import math
 import os
+import shutil
 import statistics
 import subprocess
 import sys
+import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ["new_app", "node_wall", "rerank", "validate_front"]
@@ -66,12 +73,17 @@ def verdict(base, change, better, bound):
         delta = (c_med - b_med) / abs(b_med)
     else:
         delta = 0.0 if c_med == b_med else math.copysign(math.inf, c_med - b_med)
-    if sign * delta > bound:
-        word = "worse"
-    elif (len(base) >= 10 and 10 * wins >= 9 * len(base)
-          and sign * (c_med - b_med) < 0
-          and abs(c_med - b_med) > b_q3 - b_q1):
+    spread = (b_q3 - b_q1) / abs(b_med) if b_med else (
+        0.0 if b_q3 == b_q1 else math.inf)
+    all_better = max(sign * c for c in change) < min(sign * b for b in base)
+    if (len(base) >= 10 and 10 * wins >= 9 * len(base)
+            and sign * (c_med - b_med) < 0
+            and abs(c_med - b_med) > b_q3 - b_q1):
         word = "gain"
+    elif spread > bound and not all_better:
+        word = "unresolved"
+    elif sign * delta > bound:
+        word = "worse"
     else:
         word = "within"
     return {"base": (b_q1, b_med, b_q3), "change": (c_q1, c_med, c_q3),
@@ -94,6 +106,23 @@ def parse_run(stdout):
         "digests": [l for l in lines if l.startswith("# digest ")],
         "host": next((l for l in lines if l.startswith("# host ")), ""),
     }
+
+
+def drop_foreign_build(target, tree):
+    """Deletes <target> when its build was configured from another tree.
+
+    dsebench/run.py configures <target>/dsebench only while it has no Makefile,
+    so a build left there by another base (or another checkout sharing the
+    work directory) would otherwise be rebuilt from, and timed as, that tree.
+    """
+    cache = os.path.join(target, "dsebench", "CMakeCache.txt")
+    if not os.path.exists(cache):
+        return
+    with open(cache) as f:
+        source = next((l.split("=", 1)[1].strip() for l in f
+                       if l.startswith("CMAKE_HOME_DIRECTORY:")), "")
+    if os.path.realpath(source) != os.path.realpath(os.path.join(tree, "dsebench")):
+        shutil.rmtree(target)
 
 
 def run_dsebench(tree, target, log, workload, seed, seconds):
@@ -137,8 +166,11 @@ def compare(args, bench, base_tree, base_label):
                    os.path.join(work, "change.log")),
     }
     metrics = bench["end_to_end"]
+    for tree, target, _ in sides.values():
+        drop_foreign_build(target, tree)
     claims = set(args.claim)
     ok = True
+    unresolved = []
     host = ""
     summary = []
     flip = False
@@ -193,6 +225,8 @@ def compare(args, bench, base_tree, base_label):
             word = v["verdict"]
             if word == "worse" or (claimed and word != "gain"):
                 ok = False
+            if word == "unresolved":
+                unresolved.append(workload + ":" + name)
             if claimed:
                 word += " (claimed)" if word == "gain" else " (CLAIM NOT SHOWN)"
             b, c = v["base"], v["change"]
@@ -206,12 +240,15 @@ def compare(args, bench, base_tree, base_label):
                             fmt(c[0]), fmt(c[2]), m["unit"], 100 * v["delta"],
                             v["wins"], n, word))
         summary.append("; ".join(parts))
+    overall = ("FAIL" if not ok else
+               "unresolved (%s)" % ", ".join(unresolved) if unresolved else
+               "pass")
     print(host)
     print("summary: bench_ab %s vs the working tree, %d pair(s) per seed, "
           "seeds %s, %s s; %s. Verdict: %s."
           % (base_label, args.pairs, args.seeds_text, fmt(args.seconds),
-             " | ".join(summary), "pass" if ok else "FAIL"))
-    return ok
+             " | ".join(summary), overall))
+    return overall == "pass"
 
 
 # ------------------------------------------------------------- self-check ---
@@ -235,6 +272,18 @@ def self_check():
         ("higher is better worse", [100.0 + i for i in range(10)],
          [60.0 + i for i in range(10)], "higher", 0.25, "worse"),
         ("single pair", [10.0], [5.0], "lower", 0.25, "within"),
+        # Base IQR [10.18, 13.05] is 25.7% of its 11.16 median: wider than
+        # the bound, so a +17% median cannot be told from noise.
+        ("base spread beyond bound",
+         [10.18, 13.05, 9.8, 11.16, 14.0, 10.18, 13.3, 11.16, 13.05, 10.0],
+         [13.03, 12.6, 13.58, 11.67, 13.4, 13.1, 12.5, 13.9, 12.9, 13.2],
+         "lower", 0.25, "unresolved"),
+        ("base spread beyond bound, worse beyond bound",
+         [8.0, 9.0, 10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0],
+         [x * 1.4 for x in range(8, 18)], "lower", 0.25, "unresolved"),
+        ("base spread beyond bound, every change run better",
+         [10.0, 10.1, 10.2, 10.3, 10.4, 10.5, 16.0, 17.0, 18.0, 19.0],
+         [9.9] * 10, "lower", 0.25, "within"),
     ]
     bad = 0
     for name, b, c, better, bound, want in cases:
@@ -255,7 +304,19 @@ def self_check():
             or run["digests"] != ["# digest validate_front seed 3 sweeps 3..302: 00ff"]):
         bad += 1
         print("self-check: parse_run misread %r" % run)
-    total = len(cases) + 2
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "target")
+        for source, kept in ((os.path.join(tmp, "tree", "dsebench"), True),
+                             (os.path.join(tmp, "other", "dsebench"), False)):
+            os.makedirs(os.path.join(target, "dsebench"), exist_ok=True)
+            with open(os.path.join(target, "dsebench", "CMakeCache.txt"), "w") as f:
+                f.write("CMAKE_HOME_DIRECTORY:INTERNAL=%s\n" % source)
+            drop_foreign_build(target, os.path.join(tmp, "tree"))
+            if os.path.exists(target) != kept:
+                bad += 1
+                print("self-check: build configured from %s %s" % (
+                    source, "deleted" if kept else "kept"))
+    total = len(cases) + 4
     print("self-check: %d/%d passed" % (total - bad, total))
     return bad == 0
 
@@ -267,12 +328,9 @@ def main():
     parser.add_argument("--self-check", action="store_true",
                         help="check the verdict rule on canned samples")
     parser.add_argument("--base", help="base revision, checked out with git worktree")
-    parser.add_argument("--base-tree", help="existing checkout of the base")
     parser.add_argument("--workloads", default=",".join(WORKLOADS))
     parser.add_argument("--seeds", default="201-210", help="e.g. 201-210 or 1,4,9")
     parser.add_argument("--pairs", type=int, default=1, help="pairs per workload and seed")
-    parser.add_argument("--seconds", type=float, default=None,
-                        help="timed window per run (default: BENCHMARK.json run_seconds)")
     parser.add_argument("--work-dir", default=os.path.join(ROOT, ".bench_ab"),
                         help="base worktree, per-side builds and logs")
     parser.add_argument("--claim", action="append", default=[],
@@ -280,8 +338,8 @@ def main():
     args = parser.parse_args()
     if args.self_check:
         sys.exit(0 if self_check() else 1)
-    if bool(args.base) == bool(args.base_tree):
-        parser.error("give exactly one of --base and --base-tree")
+    if not args.base:
+        parser.error("--base is required")
 
     with open(os.path.join(ROOT, "BENCHMARK.json")) as f:
         bench = json.load(f)
@@ -291,21 +349,17 @@ def main():
             parser.error("unknown workload " + w)
     args.seeds_text = args.seeds
     args.seeds = parse_seeds(args.seeds)
-    if args.seconds is None:
-        args.seconds = float(bench.get("run_seconds", 12))
+    args.seconds = float(bench["run_seconds"])
     os.makedirs(args.work_dir, exist_ok=True)
 
-    if args.base_tree:
-        ok = compare(args, bench, os.path.abspath(args.base_tree), args.base_tree)
-    else:
-        sha = git("rev-parse", "--verify", args.base + "^{commit}")
-        tree = os.path.join(os.path.abspath(args.work_dir), "base-" + sha[:12])
-        if not os.path.isdir(tree):
-            git("worktree", "add", "--detach", tree, sha)
-        try:
-            ok = compare(args, bench, tree, sha[:12])
-        finally:
-            git("worktree", "remove", "--force", tree)
+    sha = git("rev-parse", "--verify", args.base + "^{commit}")
+    tree = os.path.join(os.path.abspath(args.work_dir), "base-" + sha[:12])
+    if not os.path.isdir(tree):
+        git("worktree", "add", "--detach", tree, sha)
+    try:
+        ok = compare(args, bench, tree, sha[:12])
+    finally:
+        git("worktree", "remove", "--force", tree)
     sys.exit(0 if ok else 1)
 
 
