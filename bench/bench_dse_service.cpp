@@ -103,9 +103,9 @@ struct ClientOutcome {
 
 /// The loopback plus what R1's fairness gate reads: every message() call's
 /// target and method, in call order, and a count of the messages the
-/// service has finished handling (the loopback fires `delivered` at
-/// enqueue, so the bus wraps the service's endpoint to see handle()
-/// return). park() holds its first caller until release().
+/// service has finished handling (message() reports nothing back, so the
+/// bus wraps the service's endpoint to see handle() return). park() holds
+/// its first caller until release().
 class RecordingBus final : public tlm::MessageBus, public tlm::Endpoint {
  public:
   struct Sent {
@@ -127,16 +127,14 @@ class RecordingBus final : public tlm::MessageBus, public tlm::Endpoint {
     cv_.notify_all();
   }
 
-  std::uint64_t message(noc::TerminalId initiator, noc::TerminalId target,
-                        std::vector<std::uint32_t> body,
-                        tlm::CompletionFn delivered = nullptr) override {
+  void message(noc::TerminalId initiator, noc::TerminalId target,
+               std::vector<std::uint32_t> body) override {
     {
       const std::lock_guard<std::mutex> lock(mu_);
       // Word 1 of a dsoc call is its method id.
       sent_.push_back({target, body.size() > 1 ? body[1] : 0});
     }
-    return inner_.message(initiator, target, std::move(body),
-                          std::move(delivered));
+    inner_.message(initiator, target, std::move(body));
   }
 
   void park() {

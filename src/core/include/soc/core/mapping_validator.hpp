@@ -147,10 +147,4 @@ class MappingValidator {
   sim::EventQueue queue_;  ///< reset + reused across run() calls
 };
 
-/// Convenience one-shot form: construct, run, return the report.
-ValidationReport validate_mapping_on_network(const TaskGraph& graph,
-                                             const PlatformDesc& platform,
-                                             const Mapping& mapping,
-                                             const ValidatorConfig& cfg = {});
-
 }  // namespace soc::core

@@ -195,11 +195,4 @@ ValidationReport MappingValidator::run() {
   return r;
 }
 
-ValidationReport validate_mapping_on_network(const TaskGraph& graph,
-                                             const PlatformDesc& platform,
-                                             const Mapping& mapping,
-                                             const ValidatorConfig& cfg) {
-  return MappingValidator(graph, platform, mapping, cfg).run();
-}
-
 }  // namespace soc::core

@@ -5,7 +5,6 @@
 
 #include "soc/dsoc/broker.hpp"
 #include "soc/dsoc/marshal.hpp"
-#include "soc/platform/work.hpp"
 
 namespace soc::dsoc {
 
@@ -50,11 +49,6 @@ class Proxy {
   /// results when the reply message arrives.
   void call(MethodId method, std::vector<std::uint32_t> args,
             std::function<void(std::vector<std::uint32_t>)> on_result);
-
-  /// Builds a Step that performs a oneway invocation from *inside* a PE
-  /// task (object-to-object calls in a processing pipeline).
-  platform::Step oneway_step(MethodId method,
-                             std::vector<std::uint32_t> args) const;
 
   const ObjectRef& ref() const noexcept { return ref_; }
   std::uint64_t calls_issued() const noexcept { return issued_; }

@@ -53,10 +53,4 @@ void Proxy::call(MethodId method, std::vector<std::uint32_t> args,
                      marshal_call(hdr, args));
 }
 
-platform::Step Proxy::oneway_step(MethodId method,
-                                  std::vector<std::uint32_t> args) const {
-  CallHeader hdr{ref_.id, method, 0, kNoReply};
-  return platform::Step::send_payload(ref_.terminal, marshal_call(hdr, args));
-}
-
 }  // namespace soc::dsoc

@@ -128,7 +128,7 @@ class Topology {
 
 /// Snapshot of the process-wide topology-construction counters: how many
 /// router graphs were routed (Topology::finalize) and how many were
-/// physically floorplanned (Topology::apply_physical) since the last reset.
+/// physically floorplanned (Topology::apply_physical) since process start.
 /// The counters are monotonic and thread-safe (relaxed atomics); the DSE
 /// reuse tests and `bench_session_reuse` use them to prove each sweep
 /// candidate's interconnect is built and floorplanned exactly once across
@@ -141,17 +141,10 @@ struct TopologyBuildStats {
 /// Reads the process-wide topology-construction counters.
 TopologyBuildStats topology_build_stats() noexcept;
 
-/// Zeroes the process-wide topology-construction counters. Intended for
-/// tests/benches that meter one sweep; concurrent topology construction in
-/// other threads will be metered from zero as well.
-void reset_topology_build_stats() noexcept;
-
 /// Scoped meter over the process-wide topology-construction counters: records
-/// the counter values at construction and reports deltas since then, so
-/// consecutive bench/test sections stop racing each other with global resets.
-/// Sections that each own a scope observe only their own builds even when an
-/// earlier section forgot (or chose not) to reset the globals. The underlying
-/// counters stay monotonic; the scope never writes them.
+/// the counter values at construction and reports deltas since then. The
+/// counters are monotonic and nothing resets them, so consecutive bench/test
+/// sections that each own a scope observe only their own builds.
 class TopologyBuildStatsScope {
  public:
   /// Snapshots the current counters as the zero point.

@@ -189,13 +189,6 @@ LoadPoint measure_load_point(TopologyKind kind, int terminals,
                              const TrafficConfig& traffic,
                              const MeasureConfig& m = {});
 
-/// Sweeps injection rate over `rates` for one topology.
-std::vector<LoadPoint> sweep_injection_rates(TopologyKind kind, int terminals,
-                                             const NetworkConfig& net_cfg,
-                                             TrafficConfig traffic,
-                                             const std::vector<double>& rates,
-                                             const MeasureConfig& m = {});
-
 /// Binary-searches the saturation throughput (accepted load where the
 /// network stops keeping up with offered load) for one topology.
 double find_saturation_rate(TopologyKind kind, int terminals,

@@ -20,11 +20,6 @@ TopologyBuildStats topology_build_stats() noexcept {
       internal::g_topology_floorplans.load(std::memory_order_relaxed)};
 }
 
-void reset_topology_build_stats() noexcept {
-  internal::g_topology_builds.store(0, std::memory_order_relaxed);
-  internal::g_topology_floorplans.store(0, std::memory_order_relaxed);
-}
-
 Topology::Topology(std::string name, int routers, int terminals)
     : name_(std::move(name)), routers_(routers), terminals_(terminals) {
   if (routers <= 0 || terminals <= 0) {

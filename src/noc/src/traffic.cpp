@@ -228,20 +228,6 @@ LoadPoint measure_load_point(TopologyKind kind, int terminals,
   return summarize(net, traffic, m.measure_cycles);
 }
 
-std::vector<LoadPoint> sweep_injection_rates(TopologyKind kind, int terminals,
-                                             const NetworkConfig& net_cfg,
-                                             TrafficConfig traffic,
-                                             const std::vector<double>& rates,
-                                             const MeasureConfig& m) {
-  std::vector<LoadPoint> points;
-  points.reserve(rates.size());
-  for (double r : rates) {
-    traffic.injection_rate = r;
-    points.push_back(measure_load_point(kind, terminals, net_cfg, traffic, m));
-  }
-  return points;
-}
-
 double find_saturation_rate(TopologyKind kind, int terminals,
                             const NetworkConfig& net_cfg, TrafficConfig traffic,
                             const MeasureConfig& m) {

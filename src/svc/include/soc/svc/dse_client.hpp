@@ -79,8 +79,7 @@ using PointObserverFn = std::function<void(
 class DseClient final : public tlm::Endpoint {
  public:
   /// Attaches the client to `terminal` of `bus`; the service is expected
-  /// at `service_terminal` (the well-known default for socket
-  /// deployments; broker-resolved terminals work the same way).
+  /// at `service_terminal` (by default the well-known kServiceTerminal).
   DseClient(tlm::MessageBus& bus, noc::TerminalId terminal,
             noc::TerminalId service_terminal = kServiceTerminal);
 

@@ -64,7 +64,6 @@
 
 #include "soc/core/dse_session.hpp"
 #include "soc/core/dse_wire.hpp"
-#include "soc/dsoc/broker.hpp"
 #include "soc/dsoc/marshal.hpp"
 #include "soc/tlm/transport.hpp"
 
@@ -74,8 +73,6 @@ namespace soc::svc {
 inline constexpr dsoc::ObjectId kServiceObjectId = 1;
 /// Well-known terminal the service listens on (clients attach elsewhere).
 inline constexpr noc::TerminalId kServiceTerminal = 0;
-/// Interface name the service registers under with a dsoc::Broker.
-inline constexpr const char* kServiceInterface = "soc.svc.DseService";
 
 /// Method ids of the service protocol (see file comment for payloads).
 namespace svc_method {
@@ -122,11 +119,6 @@ class DseService final : public tlm::Endpoint {
   /// Attaches the service to `terminal` of `bus` and starts the pool.
   DseService(tlm::MessageBus& bus, noc::TerminalId terminal,
              DseServiceConfig cfg = {});
-  /// Broker-registered variant: registers (and attaches) the service at
-  /// `terminal` of `bus` under kServiceInterface so in-process clients
-  /// can resolve it by name. `broker` must wrap `bus`.
-  DseService(dsoc::Broker& broker, tlm::MessageBus& bus,
-             noc::TerminalId terminal, DseServiceConfig cfg = {});
   /// Calls stop().
   ~DseService() override;
 
@@ -139,10 +131,6 @@ class DseService final : public tlm::Endpoint {
   /// Stops scheduling, joins the pool, abandons unfinished sweeps.
   /// Idempotent; the service sends nothing after stop() returns.
   void stop();
-
-  /// Blocks until no sweep is active or queued (a quiet point for
-  /// graceful daemon shutdown).
-  void wait_idle();
 
   /// Counter snapshot.
   ServiceStats stats() const;
@@ -190,7 +178,6 @@ class DseService final : public tlm::Endpoint {
     std::size_t parent = 0;  ///< replay pair for phase 1
   };
 
-  void start(DseServiceConfig cfg);
   void pool_loop();
   bool have_work_locked() const;
   bool take_work_locked(WorkItem& out);
@@ -230,7 +217,7 @@ class DseService final : public tlm::Endpoint {
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;  ///< pool: work available / stop
-  std::condition_variable idle_cv_;  ///< wait_idle()
+  std::condition_variable idle_cv_;  ///< stop(): no outbox is draining
   bool stop_ = false;
   std::uint32_t next_sweep_id_ = 1;
 

@@ -86,7 +86,14 @@ std::uint32_t DseClient::submit(const SweepRequest& request,
   w.u32(terminal_);
   w.u32(tag);
   core::wire_put(w, request);
-  send(svc_method::kSubmit, w.take());
+  try {
+    send(svc_method::kSubmit, w.take());
+  } catch (...) {
+    // Nothing will resolve the entry, and it holds the caller's observer.
+    const std::lock_guard<std::mutex> lock(mu_);
+    pending_.erase(tag);
+    throw;
+  }
 
   std::unique_lock<std::mutex> lock(mu_);
   cv_.wait(lock, [&] { return pending_[tag].resolved; });
@@ -168,7 +175,7 @@ SweepResult DseClient::wait(std::uint32_t id) {
 
 // ---------------------------------------------------------------- inbound ---
 
-void DseClient::handle(const tlm::Transaction& request, tlm::CompletionFn done) {
+void DseClient::handle(const tlm::Transaction& request, tlm::CompletionFn) {
   std::vector<std::uint32_t> args;
   dsoc::CallHeader hdr;
   try {
@@ -220,7 +227,6 @@ void DseClient::handle(const tlm::Transaction& request, tlm::CompletionFn done) 
   } catch (const std::exception&) {
     // E.g. a throwing observer: nothing to attribute, keep dispatching.
   }
-  if (done) done(request);
 }
 
 void DseClient::on_accepted(std::vector<std::uint32_t> args) {

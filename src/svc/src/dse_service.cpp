@@ -56,23 +56,7 @@ std::vector<std::uint32_t> point_call(std::uint32_t sweep, std::uint32_t stage,
 
 DseService::DseService(tlm::MessageBus& bus, noc::TerminalId terminal,
                        DseServiceConfig cfg)
-    : bus_(bus), terminal_(terminal) {
-  bus_.attach(terminal_, *this);
-  start(cfg);
-}
-
-DseService::DseService(dsoc::Broker& broker, tlm::MessageBus& bus,
-                       noc::TerminalId terminal, DseServiceConfig cfg)
-    : bus_(bus), terminal_(terminal) {
-  broker.register_object(kServiceInterface, *this, kServiceObjectId, terminal_,
-                         kServiceInterface);
-  start(cfg);
-}
-
-DseService::~DseService() { stop(); }
-
-void DseService::start(DseServiceConfig cfg) {
-  cfg_ = cfg;
+    : bus_(bus), terminal_(terminal), cfg_(cfg) {
   if (cfg_.pool_threads <= 0) {
     const unsigned hw = std::thread::hardware_concurrency();
     cfg_.pool_threads = hw == 0 ? 2 : static_cast<int>(hw);
@@ -83,11 +67,14 @@ void DseService::start(DseServiceConfig cfg) {
   if (cfg_.max_queued < 0) {
     throw std::invalid_argument("DseService: max_queued must be >= 0");
   }
+  bus_.attach(terminal_, *this);
   pool_.reserve(static_cast<std::size_t>(cfg_.pool_threads));
   for (int i = 0; i < cfg_.pool_threads; ++i) {
     pool_.emplace_back([this] { pool_loop(); });
   }
 }
+
+DseService::~DseService() { stop(); }
 
 void DseService::stop() {
   {
@@ -103,16 +90,6 @@ void DseService::stop() {
   // dispatcher may still be draining an outbox it claimed in handle().
   std::unique_lock<std::mutex> lock(mu_);
   idle_cv_.wait(lock, [this] { return !sending_locked(); });
-  lock.unlock();
-  idle_cv_.notify_all();
-}
-
-void DseService::wait_idle() {
-  std::unique_lock<std::mutex> lock(mu_);
-  idle_cv_.wait(lock, [this] {
-    return stop_ ||
-           (active_.empty() && queued_.empty() && !sending_locked());
-  });
 }
 
 ServiceStats DseService::stats() const {
@@ -132,7 +109,7 @@ std::size_t DseService::queued_sweeps() const {
 
 // ---------------------------------------------------------------- protocol --
 
-void DseService::handle(const tlm::Transaction& request, tlm::CompletionFn done) {
+void DseService::handle(const tlm::Transaction& request, tlm::CompletionFn) {
   std::vector<std::uint32_t> args;
   dsoc::CallHeader hdr;
   try {
@@ -151,7 +128,6 @@ void DseService::handle(const tlm::Transaction& request, tlm::CompletionFn done)
     default:
       break;  // unknown method: oneway protocol, drop
   }
-  if (done) done(request);
 }
 
 // ------------------------------------------------------------------ outbox --
@@ -203,7 +179,7 @@ void DseService::flush(std::unique_lock<std::mutex>& lock,
       std::any_of(queued_.begin(), queued_.end(),
                   [client](const auto& j) { return j->client == client; });
   if (!serving) outboxes_.erase(it);
-  if (stop_ || (active_.empty() && queued_.empty())) idle_cv_.notify_all();
+  if (stop_) idle_cv_.notify_all();
 }
 
 void DseService::retire_client_locked(noc::TerminalId client) {
@@ -224,7 +200,6 @@ void DseService::retire_client_locked(noc::TerminalId client) {
     }
   }
   admit_queued_locked();
-  if (active_.empty() && queued_.empty()) idle_cv_.notify_all();
 }
 
 void DseService::on_submit(std::vector<std::uint32_t> args) {
@@ -336,7 +311,6 @@ void DseService::cancel_locked(noc::TerminalId client, std::uint32_t id) {
     w.u32(job->id);
     w.u64(0);
     post_locked(job->client, call(svc_method::kCancelled, w.words()));
-    if (active_.empty() && queued_.empty()) idle_cv_.notify_all();
     return;
   }
   const auto it = active_.find(id);
@@ -381,7 +355,6 @@ void DseService::retire_locked(std::uint32_t job_id) {
           client_rr_.end());
     }
   }
-  if (active_.empty() && queued_.empty()) idle_cv_.notify_all();
 }
 
 void DseService::admit_queued_locked() {

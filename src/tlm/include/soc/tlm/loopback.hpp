@@ -48,15 +48,12 @@ class LoopbackTransport final : public MessageBus {
   void attach(noc::TerminalId terminal, Endpoint& ep) override;
 
   /// Enqueues a one-way message into `target`'s mailbox; the target's
-  /// dispatcher thread later invokes Endpoint::handle. `delivered` reports
-  /// acceptance, not receipt: it runs on the calling thread right after the
-  /// enqueue, before message() returns and possibly before handle() runs.
-  /// Throws std::invalid_argument when no endpoint is attached at
-  /// `target`. Safe to call from any thread, including from inside another
-  /// endpoint's handle().
-  std::uint64_t message(noc::TerminalId initiator, noc::TerminalId target,
-                        std::vector<std::uint32_t> body,
-                        CompletionFn delivered = nullptr) override;
+  /// dispatcher thread later invokes Endpoint::handle. Throws
+  /// std::invalid_argument when no endpoint is attached at `target`. Safe
+  /// to call from any thread, including from inside another endpoint's
+  /// handle().
+  void message(noc::TerminalId initiator, noc::TerminalId target,
+               std::vector<std::uint32_t> body) override;
 
   /// Delivers every queued message — including messages endpoints send
   /// *while draining* (an endpoint relaying from inside handle() keeps the
@@ -90,10 +87,9 @@ class LoopbackTransport final : public MessageBus {
   /// Blocks until `box` has an empty queue and an idle dispatcher.
   static void wait_idle(Mailbox& box);
 
-  mutable std::mutex mu_;  ///< guards boxes_ / next_id_ / state flags
+  mutable std::mutex mu_;  ///< guards boxes_ / state flags
   std::condition_variable state_cv_;  ///< concurrent shutdown() callers
   std::map<noc::TerminalId, std::unique_ptr<Mailbox>> boxes_;
-  std::uint64_t next_id_ = 1;
   bool draining_ = false;   ///< shutdown drain in progress: sends still legal
   bool shut_down_ = false;  ///< fully quiesced: sends/attaches throw
   std::atomic<std::uint64_t> delivered_{0};

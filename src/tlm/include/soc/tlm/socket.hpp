@@ -84,16 +84,13 @@ class SocketTransport final : public MessageBus {
   /// Sends a one-way message. Local targets go through the embedded
   /// loopback; remote targets are framed and enqueued to the connection's
   /// writer thread (server: the connection that terminal was learned
-  /// from; client: the single connection). `delivered` fires on the
-  /// calling thread with the post-enqueue view, matching
-  /// LoopbackTransport. Throws std::invalid_argument when the target is
-  /// neither local nor routable (a server's route goes once its
-  /// connection is reaped), std::logic_error after shutdown, and
+  /// from; client: the single connection). Throws std::invalid_argument
+  /// when the target is neither local nor routable (a server's route goes
+  /// once its connection is reaped), std::logic_error after shutdown, and
   /// std::runtime_error when the target's connection is dead: its reader
   /// saw EOF (the peer closed) or a read or write on it failed.
-  std::uint64_t message(noc::TerminalId initiator, noc::TerminalId target,
-                        std::vector<std::uint32_t> body,
-                        CompletionFn delivered = nullptr) override;
+  void message(noc::TerminalId initiator, noc::TerminalId target,
+               std::vector<std::uint32_t> body) override;
 
   /// Flushes every connection's outbox, closes the sockets, joins the
   /// accept/reader/writer threads, then drains the embedded loopback

@@ -41,16 +41,11 @@ class MessageBus {
   /// Attaches `ep` (not owned) to `terminal`. One endpoint per terminal.
   virtual void attach(noc::TerminalId terminal, Endpoint& ep) = 0;
 
-  /// One-way message (no response packet). When `delivered` (optional)
-  /// fires is each bus's rule: the simulated Transport calls it on
-  /// delivery, right after the target's handle(); LoopbackTransport and
-  /// SocketTransport call it on the sending thread once the message is
-  /// enqueued, before message() returns and possibly before handle() runs.
-  /// Returns a bus-unique message id.
-  virtual std::uint64_t message(noc::TerminalId initiator,
-                                noc::TerminalId target,
-                                std::vector<std::uint32_t> body,
-                                CompletionFn delivered = nullptr) = 0;
+  /// One-way message: the endpoint at `target` receives `body` in its
+  /// handle() (with a null `respond`), after every earlier message from
+  /// the same sender to it. Nothing completes back to the sender.
+  virtual void message(noc::TerminalId initiator, noc::TerminalId target,
+                       std::vector<std::uint32_t> body) = 0;
 };
 
 /// Message-passing transport over the NoC: packetizes split transactions,
@@ -77,12 +72,10 @@ class Transport : public MessageBus {
                       std::uint32_t address, std::vector<std::uint32_t> data,
                       CompletionFn done);
 
-  /// One-way message (no response packet). `delivered` (optional) fires
-  /// on delivery, in simulated time, right after the target endpoint's
-  /// handle().
-  std::uint64_t message(noc::TerminalId initiator, noc::TerminalId target,
-                        std::vector<std::uint32_t> body,
-                        CompletionFn delivered = nullptr) override;
+  /// One-way message (no response packet): the target endpoint's handle()
+  /// runs when the packet is delivered, in simulated time.
+  void message(noc::TerminalId initiator, noc::TerminalId target,
+               std::vector<std::uint32_t> body) override;
 
   noc::Network& network() noexcept { return net_; }
   sim::EventQueue& queue() noexcept { return queue_; }

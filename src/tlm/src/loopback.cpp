@@ -28,12 +28,10 @@ void LoopbackTransport::attach(noc::TerminalId terminal, Endpoint& ep) {
   raw->dispatcher = std::thread([this, raw] { dispatch_loop(*raw); });
 }
 
-std::uint64_t LoopbackTransport::message(noc::TerminalId initiator,
-                                         noc::TerminalId target,
-                                         std::vector<std::uint32_t> body,
-                                         CompletionFn delivered) {
+void LoopbackTransport::message(noc::TerminalId initiator,
+                                noc::TerminalId target,
+                                std::vector<std::uint32_t> body) {
   Mailbox* box = nullptr;
-  std::uint64_t id = 0;
   {
     const std::lock_guard<std::mutex> lock(mu_);
     if (shut_down_) {
@@ -46,11 +44,9 @@ std::uint64_t LoopbackTransport::message(noc::TerminalId initiator,
           std::to_string(target));
     }
     box = it->second.get();
-    id = next_id_++;
   }
   words_.fetch_add(body.size(), std::memory_order_relaxed);
   Transaction txn;
-  txn.id = id;
   txn.type = TransactionType::kMessage;
   txn.initiator = initiator;
   txn.target = target;
@@ -61,20 +57,6 @@ std::uint64_t LoopbackTransport::message(noc::TerminalId initiator,
   }
   enqueued_.fetch_add(1, std::memory_order_release);
   box->cv.notify_one();
-  if (delivered) {
-    // Completion callbacks are rare on this bus (the DSE service protocol
-    // is fully one-way); keep the common path allocation-free by invoking the
-    // callback on the *sending* thread with the post-enqueue view. The
-    // simulated Transport fires on true delivery instead; callers that
-    // need that ordering poll their own protocol-level acks.
-    Transaction done;
-    done.id = id;
-    done.type = TransactionType::kMessage;
-    done.initiator = initiator;
-    done.target = target;
-    delivered(done);
-  }
-  return id;
 }
 
 void LoopbackTransport::dispatch_loop(Mailbox& box) {

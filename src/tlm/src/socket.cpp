@@ -269,10 +269,9 @@ void SocketTransport::attach(noc::TerminalId terminal, Endpoint& ep) {
   local_.attach(terminal, ep);
 }
 
-std::uint64_t SocketTransport::message(noc::TerminalId initiator,
-                                       noc::TerminalId target,
-                                       std::vector<std::uint32_t> body,
-                                       CompletionFn delivered) {
+void SocketTransport::message(noc::TerminalId initiator,
+                              noc::TerminalId target,
+                              std::vector<std::uint32_t> body) {
   std::shared_ptr<Connection> conn;
   bool local = false;
   {
@@ -295,7 +294,7 @@ std::uint64_t SocketTransport::message(noc::TerminalId initiator,
                                   std::to_string(target));
     }
   }
-  if (local) return local_.message(initiator, target, std::move(body), delivered);
+  if (local) return local_.message(initiator, target, std::move(body));
 
   std::vector<std::uint32_t> frame;
   frame.reserve(kHeaderWords + body.size());
@@ -304,16 +303,6 @@ std::uint64_t SocketTransport::message(noc::TerminalId initiator,
   frame.insert(frame.end(), body.begin(), body.end());
   remote_words_.fetch_add(body.size(), std::memory_order_relaxed);
   enqueue_frame(*conn, std::move(frame));
-  if (delivered) {
-    // Same contract as LoopbackTransport: the callback reports acceptance
-    // on the sending thread, not remote receipt.
-    Transaction done;
-    done.type = TransactionType::kMessage;
-    done.initiator = initiator;
-    done.target = target;
-    delivered(done);
-  }
-  return 0;
 }
 
 void SocketTransport::enqueue_frame(Connection& conn,

@@ -57,16 +57,14 @@ std::uint64_t Transport::write(noc::TerminalId initiator, noc::TerminalId target
   return launch(std::move(txn), std::move(done));
 }
 
-std::uint64_t Transport::message(noc::TerminalId initiator,
-                                 noc::TerminalId target,
-                                 std::vector<std::uint32_t> body,
-                                 CompletionFn delivered) {
+void Transport::message(noc::TerminalId initiator, noc::TerminalId target,
+                        std::vector<std::uint32_t> body) {
   Transaction txn;
   txn.type = TransactionType::kMessage;
   txn.initiator = initiator;
   txn.target = target;
   txn.payload = std::move(body);
-  return launch(std::move(txn), std::move(delivered));
+  launch(std::move(txn), nullptr);
 }
 
 void Transport::on_delivery(const noc::Packet& pkt) {
@@ -85,14 +83,11 @@ void Transport::on_delivery(const noc::Packet& pkt) {
     if (entry.txn.type == TransactionType::kMessage) {
       // One-way: complete immediately at delivery.
       Transaction txn = std::move(entry.txn);
-      CompletionFn done = std::move(entry.done);
       pending_.erase(it);
       txn.completed_at = queue_.now();
       ++completed_;
       rtt_.push(static_cast<double>(txn.round_trip()));
-      Endpoint& ep = *ep_it->second;
-      ep.handle(txn, nullptr);
-      if (done) done(txn);
+      ep_it->second->handle(txn, nullptr);
       return;
     }
     entry.response_leg = true;

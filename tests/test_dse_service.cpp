@@ -17,6 +17,7 @@
 #include <filesystem>
 #include <functional>
 #include <iterator>
+#include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -601,23 +602,6 @@ TEST(DseService, InvalidRequestIsRefusedWithError) {
   bus.shutdown();
 }
 
-TEST(DseService, BrokerRegistrationResolvesByInterfaceName) {
-  tlm::LoopbackTransport bus;
-  dsoc::Broker broker(bus);
-  DseService service(broker, bus, kServiceTerminal);
-  const dsoc::ObjectRef ref = broker.resolve(kServiceInterface);
-  EXPECT_EQ(ref.terminal, kServiceTerminal);
-  EXPECT_EQ(ref.id, kServiceObjectId);
-
-  DseClient client(bus, 1, ref.terminal);
-  const SweepResult res = client.wait(client.submit(small_request()));
-  expect_result_identical(res, run_reference(small_request()),
-                          "broker-resolved sweep");
-
-  service.stop();
-  bus.shutdown();
-}
-
 // ------------------------------------ the raw stream, message by message ---
 
 /// A request whose stream carries every kind of kPoint: grid points with
@@ -943,6 +927,20 @@ TEST(DseClient, ValidatedPointOffTheFrontFailsTheSweep) {
             "");
 }
 
+TEST(DseClient, FailedSubmitSendDropsItsPendingEntry) {
+  // Nothing is attached at the service terminal, so the kSubmit send
+  // throws. No reply can ever resolve the submit's pending entry, which
+  // holds the caller's observer: it must go with the exception.
+  tlm::LoopbackTransport bus;
+  DseClient client(bus, 1);
+  const auto token = std::make_shared<int>(0);
+  EXPECT_THROW(client.submit(small_request(),
+                             [token](std::uint64_t, const DsePoint&, bool) {}),
+               std::invalid_argument);
+  EXPECT_EQ(token.use_count(), 1);
+  bus.shutdown();
+}
+
 // ------------------------------------------- the acceptance: real TCP ---
 
 TEST(DseService, ConcurrentTcpClientsReceiveByteIdenticalFronts) {
@@ -1071,6 +1069,91 @@ TEST(DseService, DisconnectedClientFreesItsSlot) {
   service.stop();
   bus2->shutdown();
   server->shutdown();
+}
+
+// ------------------------------------------------------------ shutdown ---
+
+/// A LoopbackTransport that holds the service's first kAccepted send until
+/// release(), and counts the message() calls that start after
+/// mark_stopped().
+class ParkingBus final : public tlm::MessageBus {
+ public:
+  void attach(noc::TerminalId terminal, tlm::Endpoint& ep) override {
+    inner_.attach(terminal, ep);
+  }
+
+  void message(noc::TerminalId initiator, noc::TerminalId target,
+               std::vector<std::uint32_t> body) override {
+    std::unique_lock<std::mutex> lock(mu_);
+    if (stopped_) ++sends_after_stop_;
+    // Word 1 of a dsoc call is its method id.
+    if (initiator == kServiceTerminal && !parked_ && body.size() > 1 &&
+        body[1] == svc_method::kAccepted) {
+      parked_ = true;
+      cv_.notify_all();
+      cv_.wait(lock, [this] { return released_; });
+    }
+    lock.unlock();
+    inner_.message(initiator, target, std::move(body));
+  }
+
+  /// Gives up after 30 s and returns false.
+  bool wait_parked() {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, std::chrono::seconds(30),
+                        [this] { return parked_; });
+  }
+  void release() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    released_ = true;
+    cv_.notify_all();
+  }
+  void mark_stopped() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    stopped_ = true;
+  }
+  int sends_after_stop() {
+    const std::lock_guard<std::mutex> lock(mu_);
+    return sends_after_stop_;
+  }
+  void shutdown() { inner_.shutdown(); }
+
+ private:
+  tlm::LoopbackTransport inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool parked_ = false;
+  bool released_ = false;
+  bool stopped_ = false;
+  int sends_after_stop_ = 0;
+};
+
+TEST(DseService, StopWaitsForADispatcherDrainingAnOutbox) {
+  // The service's dispatcher thread sends kAccepted from inside handle()
+  // and becomes the client's sender; the bus parks that send. stop() must
+  // wait for the drain, so the service sends nothing once stop() returns.
+  Recorder rec;
+  ParkingBus bus;
+  bus.attach(1, rec);
+  DseServiceConfig cfg;
+  cfg.pool_threads = 1;
+  DseService service(bus, kServiceTerminal, cfg);
+  raw_submit(bus, 1, 5, small_request());  // no client blocks on the reply
+  ASSERT_TRUE(bus.wait_parked());
+
+  std::atomic<bool> stopped{false};
+  std::thread stopper([&] {
+    service.stop();
+    bus.mark_stopped();
+    stopped = true;
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_FALSE(stopped) << "stop() returned while an outbox was draining";
+  bus.release();
+  stopper.join();
+  EXPECT_TRUE(stopped);
+  bus.shutdown();  // returns once every dispatcher is idle
+  EXPECT_EQ(bus.sends_after_stop(), 0);
 }
 
 }  // namespace

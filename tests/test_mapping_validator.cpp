@@ -73,7 +73,7 @@ TEST(MappingValidator, RejectsBadInputs) {
 TEST(MappingValidator, LocalOnlyMappingSkipsTheNetwork) {
   const auto g = chain(3, 300, 16);
   const auto p = gp_platform(4, noc::TopologyKind::kMesh2D);
-  const auto r = validate_mapping_on_network(g, p, Mapping{0, 0, 0});
+  const auto r = MappingValidator(g, p, Mapping{0, 0, 0}).run();
   EXPECT_FALSE(r.network_active);
   EXPECT_FALSE(r.network_saturated);
   EXPECT_EQ(r.rounds_completed, 0u);
@@ -88,7 +88,7 @@ TEST(MappingValidator, MeasuresEdgeTrafficOnTheNoc) {
   const auto g = chain(3, 400, 8);
   const auto p = gp_platform(4, noc::TopologyKind::kMesh2D);
   const Mapping m{0, 1, 2};
-  const auto r = validate_mapping_on_network(g, p, m);
+  const auto r = MappingValidator(g, p, m).run();
 
   EXPECT_TRUE(r.network_active);
   EXPECT_GT(r.rounds_completed, 0u);
@@ -152,8 +152,8 @@ TEST(MappingValidator, RecordLatencyOffMatchesDefaultFigures) {
   const Mapping m{0, 1, 2, 3};
   ValidatorConfig lean;
   lean.net.record_latency = false;
-  const auto a = validate_mapping_on_network(g, p, m);
-  const auto b = validate_mapping_on_network(g, p, m, lean);
+  const auto a = MappingValidator(g, p, m).run();
+  const auto b = MappingValidator(g, p, m, lean).run();
   EXPECT_EQ(a.rounds_completed, b.rounds_completed);
   EXPECT_EQ(a.simulated_items_per_kcycle, b.simulated_items_per_kcycle);
   EXPECT_EQ(a.avg_packet_latency, b.avg_packet_latency);
@@ -167,7 +167,7 @@ TEST(MappingValidator, FiniteBuffersStillCompleteRounds) {
   const auto p = gp_platform(4, noc::TopologyKind::kMesh2D);
   ValidatorConfig tight;
   tight.net.queue_capacity_pkts = 2;
-  const auto r = validate_mapping_on_network(g, p, Mapping{0, 1, 2, 3}, tight);
+  const auto r = MappingValidator(g, p, Mapping{0, 1, 2, 3}, tight).run();
   EXPECT_TRUE(r.network_active);
   EXPECT_GT(r.rounds_completed, 0u);
   for (const auto& e : r.edges) EXPECT_GT(e.packets_delivered, 0u);
@@ -181,7 +181,7 @@ TEST(MappingValidator, DetectsSaturatedBus) {
   const auto p = gp_platform(4, noc::TopologyKind::kBus);
   ValidatorConfig cfg;
   cfg.load_factor = 1.0;
-  const auto r = validate_mapping_on_network(g, p, Mapping{0, 1, 2, 3}, cfg);
+  const auto r = MappingValidator(g, p, Mapping{0, 1, 2, 3}, cfg).run();
   EXPECT_TRUE(r.network_active);
   EXPECT_TRUE(r.network_saturated);
   EXPECT_LT(r.simulated_items_per_kcycle, 0.5 * r.offered_items_per_kcycle);
@@ -194,14 +194,14 @@ TEST(MappingValidator, ClosedLoopMeasuresNetworkLimit) {
   const auto p = gp_platform(4, noc::TopologyKind::kMesh2D);
   ValidatorConfig cfg;
   cfg.mode = noc::ReplayConfig::Mode::kClosedLoop;
-  const auto r = validate_mapping_on_network(g, p, Mapping{0, 1, 2}, cfg);
+  const auto r = MappingValidator(g, p, Mapping{0, 1, 2}, cfg).run();
   EXPECT_TRUE(r.network_active);
   EXPECT_DOUBLE_EQ(r.offered_items_per_kcycle, 0.0);
   EXPECT_FALSE(r.network_saturated);
   EXPECT_GT(r.rounds_completed, 0u);
   // Unthrottled by compute, the network alone sustains at least the rate
   // the compute-paced open loop achieves.
-  const auto open = validate_mapping_on_network(g, p, Mapping{0, 1, 2});
+  const auto open = MappingValidator(g, p, Mapping{0, 1, 2}).run();
   EXPECT_GE(r.simulated_items_per_kcycle, open.simulated_items_per_kcycle);
 }
 
@@ -262,8 +262,8 @@ TEST(MappingValidator, ReplayPicksUpNonzeroExtraLatency) {
   }
   ASSERT_GT(extra, 0);
   const Mapping spread{0, 1, 2, 3};
-  const auto fast = validate_mapping_on_network(g, abstract, spread);
-  const auto slow = validate_mapping_on_network(g, physical, spread);
+  const auto fast = MappingValidator(g, abstract, spread).run();
+  const auto slow = MappingValidator(g, physical, spread).run();
   EXPECT_TRUE(slow.network_active);
   EXPECT_GT(slow.avg_packet_latency, fast.avg_packet_latency);
   // Per-edge means shift by at least the per-path wire stages.

@@ -87,11 +87,13 @@ TEST(TrafficGenerator, RejectsZeroRate) {
 }
 
 TEST(LoadSweep, LatencyRisesWithLoad) {
-  const std::vector<double> rates{0.02, 0.1, 0.3};
-  const auto pts = sweep_injection_rates(TopologyKind::kMesh2D, 16, {},
-                                         TrafficConfig{}, rates,
-                                         MeasureConfig{5'000, 30'000});
-  ASSERT_EQ(pts.size(), 3u);
+  std::vector<LoadPoint> pts;
+  TrafficConfig traffic;
+  for (const double rate : {0.02, 0.1, 0.3}) {
+    traffic.injection_rate = rate;
+    pts.push_back(measure_load_point(TopologyKind::kMesh2D, 16, {}, traffic,
+                                     MeasureConfig{5'000, 30'000}));
+  }
   EXPECT_LT(pts[0].avg_latency, pts[2].avg_latency);
   EXPECT_LE(pts[0].p50_latency, pts[0].p99_latency);
 }

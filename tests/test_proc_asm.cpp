@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "soc/proc/assembler.hpp"
-#include "soc/proc/cpu.hpp"
-#include "soc/proc/encoding.hpp"
 
 namespace soc::proc {
 namespace {
@@ -210,114 +208,6 @@ TEST(Disassembler, RoundTripReassembles) {
     EXPECT_EQ(p1[i].rs2, p2[i].rs2) << "at " << i;
     EXPECT_EQ(p1[i].imm, p2[i].imm) << "at " << i;
   }
-}
-
-// --------------------------------------------------------- binary encoding ---
-
-TEST(Encoding, RoundTripsEveryFormat) {
-  const Program p = assemble(R"(
-    start:
-      add   r1, r2, r3
-      addi  r4, r5, -100
-      slti  r6, r7, 42
-      lui   r8, 0xBEEF
-      lw    r9, 1000(r10)
-      sw    r11, -12(r12)
-      lbu   r13, 0(r14)
-      sb    r15, 7(r16)
-      beq   r17, r18, start
-      j     start
-      jal   r31, start
-      jr    r31
-      rload r19, 64(r20)
-      rstore r21, 8(r22)
-      send  r23, r24
-      recv  r25, r26
-      xop2  r27, r28, r29
-      nop
-      halt
-  )");
-  const auto words = encode_program(p);
-  const Program back = decode_program(words);
-  ASSERT_EQ(back.size(), p.size());
-  for (std::size_t i = 0; i < p.size(); ++i) {
-    EXPECT_EQ(back[i].op, p[i].op) << i;
-    EXPECT_EQ(back[i].rd, p[i].rd) << i;
-    EXPECT_EQ(back[i].rs1, p[i].rs1) << i;
-    EXPECT_EQ(back[i].rs2, p[i].rs2) << i;
-    EXPECT_EQ(back[i].imm, p[i].imm) << i;
-  }
-}
-
-TEST(Encoding, DecodedBinaryExecutesIdentically) {
-  // Assemble, encode to binary, decode, and run both programs: the
-  // architectural results must match exactly.
-  const char* src = R"(
-      addi r1, r0, 10
-      addi r2, r0, 0
-    loop:
-      add  r2, r2, r1
-      addi r1, r1, -1
-      bne  r1, r0, loop
-      sw   r2, 64(r0)
-      halt
-  )";
-  const Program direct = assemble(src);
-  const Program via_binary = decode_program(encode_program(direct));
-  Cpu a(direct), b(via_binary);
-  const auto ra = a.run();
-  const auto rb = b.run();
-  EXPECT_EQ(ra.reason, StopReason::kHalted);
-  EXPECT_EQ(rb.reason, StopReason::kHalted);
-  EXPECT_EQ(ra.cycles, rb.cycles);
-  EXPECT_EQ(a.reg(2), b.reg(2));
-  EXPECT_EQ(a.load_word(64), 55u);
-  EXPECT_EQ(b.load_word(64), 55u);
-}
-
-TEST(Encoding, RejectsOversizedImmediates) {
-  // Constants beyond 16 bits signed must be built with lui/ori, as on any
-  // real fixed-width RISC.
-  Instr too_big;
-  too_big.op = Opcode::kAddi;
-  too_big.imm = 0xFFFF;  // 65535 > 32767: NOT the same as imm -1 semantics
-  EXPECT_FALSE(encodable(too_big));
-  EXPECT_THROW(encode(too_big), EncodingError);
-
-  Instr store;
-  store.op = Opcode::kSw;
-  store.imm = 5000;  // store offsets get only 11 bits
-  EXPECT_THROW(encode(store), EncodingError);
-
-  Instr branch;
-  branch.op = Opcode::kBeq;
-  branch.imm = 4000;  // branch targets get 11 bits
-  EXPECT_THROW(encode(branch), EncodingError);
-}
-
-TEST(Encoding, LuiUsesUnsignedField) {
-  Instr lui;
-  lui.op = Opcode::kLui;
-  lui.rd = 3;
-  lui.imm = 0xFFFF;
-  EXPECT_TRUE(encodable(lui));
-  const Instr back = decode(encode(lui));
-  EXPECT_EQ(back.imm, 0xFFFF);
-}
-
-TEST(Encoding, RejectsInvalidOpcodeField) {
-  EXPECT_THROW(decode(0xFFFFFFFFu), EncodingError);
-}
-
-TEST(Encoding, NegativeStoreOffsetsSurvive) {
-  Instr store;
-  store.op = Opcode::kRstore;
-  store.rs1 = 4;
-  store.rs2 = 5;
-  store.imm = -1024;
-  const Instr back = decode(encode(store));
-  EXPECT_EQ(back.imm, -1024);
-  EXPECT_EQ(back.rs2, 5);
 }
 
 TEST(OpInfo, CoversAllOpcodesWithSaneCosts) {

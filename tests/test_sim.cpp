@@ -1,5 +1,5 @@
-// Unit tests for the simulation kernel: RNG, statistics, event queue,
-// cycle engine and logging.
+// Unit tests for the simulation kernel: RNG, statistics, event queue and
+// the parallel executor.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,9 +9,7 @@
 #include <utility>
 #include <vector>
 
-#include "soc/sim/engine.hpp"
 #include "soc/sim/event_queue.hpp"
-#include "soc/sim/logging.hpp"
 #include "soc/sim/parallel.hpp"
 #include "soc/sim/rng.hpp"
 #include "soc/sim/stats.hpp"
@@ -439,91 +437,6 @@ TEST(EventQueue, MatchesStableTimeOrderReferenceModel) {
   EXPECT_EQ(sut.ran, model.ran);
   EXPECT_EQ(sut.token.use_count(), 1);
   EXPECT_GT(model.ran.size(), 1'000u);
-}
-
-// --------------------------------------------------------------- Engine ---
-
-class TickCounter : public Clocked {
- public:
-  TickCounter() : Clocked("counter") {}
-  void tick(Cycle) override { ++ticks; }
-  void tock(Cycle) override { ++tocks; }
-  int ticks = 0;
-  int tocks = 0;
-};
-
-TEST(Engine, RunsAllComponentsEveryCycle) {
-  Engine e;
-  TickCounter a, b;
-  e.add(a);
-  e.add(b);
-  e.run(50);
-  EXPECT_EQ(a.ticks, 50);
-  EXPECT_EQ(a.tocks, 50);
-  EXPECT_EQ(b.ticks, 50);
-  EXPECT_EQ(e.now(), 50u);
-}
-
-TEST(Engine, TwoPhaseOrdering) {
-  // All ticks of a cycle run before any tock of that cycle.
-  Engine e;
-  class Checker : public Clocked {
-   public:
-    explicit Checker(int* phase) : Clocked("c"), phase_(phase) {}
-    void tick(Cycle) override {
-      EXPECT_EQ(*phase_, 0);
-    }
-    void tock(Cycle) override { *phase_ = 0; }
-    int* phase_;
-  };
-  class Setter : public Clocked {
-   public:
-    explicit Setter(int* phase) : Clocked("s"), phase_(phase) {}
-    void tick(Cycle) override {}
-    void tock(Cycle) override { *phase_ = 0; }
-    int* phase_;
-  };
-  int phase = 0;
-  Checker c(&phase);
-  Setter s(&phase);
-  e.add(c);
-  e.add(s);
-  e.run(3);
-}
-
-TEST(Engine, StopRequestHonored) {
-  Engine e;
-  class Stopper : public Clocked {
-   public:
-    Stopper(Engine& eng) : Clocked("stopper"), eng_(eng) {}
-    void tick(Cycle now) override {
-      if (now == 4) eng_.request_stop();
-    }
-    Engine& eng_;
-  };
-  Stopper s(e);
-  e.add(s);
-  e.run(100);
-  EXPECT_EQ(e.now(), 5u);  // stops after cycle 4 completes
-}
-
-// -------------------------------------------------------------- Logging ---
-
-TEST(Logging, LevelFiltering) {
-  static std::vector<std::string> captured;
-  captured.clear();
-  log::set_sink([](LogLevel, const std::string& m) { captured.push_back(m); });
-  log::set_level(LogLevel::kWarn);
-  log::debug("d");
-  log::info("i");
-  log::warn("w");
-  log::error("e");
-  EXPECT_EQ(captured.size(), 2u);
-  log::set_level(LogLevel::kOff);
-  log::error("nope");
-  EXPECT_EQ(captured.size(), 2u);
-  log::set_sink(nullptr);
-  log::set_level(LogLevel::kWarn);
 }
 
 // ------------------------------------------------------- parallel executor ---

@@ -4,7 +4,6 @@
 
 #include <condition_variable>
 #include <mutex>
-#include <thread>
 
 #include "soc/noc/topologies.hpp"
 #include "soc/tlm/endpoints.hpp"
@@ -111,11 +110,8 @@ TEST(Transport, MessageDeliveredOneWay) {
   Rig rig;
   SinkEndpoint sink(rig.queue);
   rig.transport.attach(4, sink);
-  bool delivered = false;
-  rig.transport.message(0, 4, {1, 2, 3},
-                        [&](const Transaction&) { delivered = true; });
+  rig.transport.message(0, 4, {1, 2, 3});
   rig.queue.run_all();
-  EXPECT_TRUE(delivered);
   EXPECT_EQ(sink.received(), 1u);
   EXPECT_EQ(sink.words_received(), 3u);
 }
@@ -348,59 +344,6 @@ TEST(Loopback, CrossTerminalTrafficAllArrives) {
   EXPECT_EQ(a.count(), 40u);
   EXPECT_EQ(b.count(), 40u);
   EXPECT_EQ(bus.words_on_wire(), 40u + 80u);
-}
-
-/// Endpoint whose handle() blocks until release(), counting the calls that
-/// entered and the calls that returned.
-struct Gate : Endpoint {
-  void handle(const Transaction&, CompletionFn) override {
-    std::unique_lock<std::mutex> lock(mu);
-    ++entered;
-    cv.notify_all();
-    cv.wait(lock, [&] { return open; });
-    ++returned;
-  }
-  void wait_entered(int n) {
-    std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return entered >= n; });
-  }
-  int returned_count() {
-    const std::lock_guard<std::mutex> lock(mu);
-    return returned;
-  }
-  void release() {
-    const std::lock_guard<std::mutex> lock(mu);
-    open = true;
-    cv.notify_all();
-  }
-  std::mutex mu;
-  std::condition_variable cv;
-  bool open = false;
-  int entered = 0;
-  int returned = 0;
-};
-
-TEST(Loopback, DeliveredRunsOnTheSenderAfterEnqueue) {
-  // The loopback's `delivered` reports acceptance, not receipt: it runs on
-  // the sending thread before message() returns, while the target's
-  // dispatcher is still blocked in handle() on an earlier message.
-  LoopbackTransport bus;
-  Gate gate;
-  bus.attach(1, gate);
-  bus.message(0, 1, {1});
-  gate.wait_entered(1);
-  std::thread::id callback_thread;
-  int returned_at_callback = -1;
-  bus.message(0, 1, {2}, [&](const Transaction& t) {
-    callback_thread = std::this_thread::get_id();
-    returned_at_callback = gate.returned_count();
-    EXPECT_EQ(t.target, 1u);
-  });
-  EXPECT_EQ(callback_thread, std::this_thread::get_id());
-  EXPECT_EQ(returned_at_callback, 0);
-  gate.release();
-  bus.shutdown();
-  EXPECT_EQ(gate.returned_count(), 2);
 }
 
 }  // namespace
