@@ -1,11 +1,17 @@
 // A3: google-benchmark micro suite for the simulation substrate — event
 // queue, NoC transit, ISS retire rate, trie build/lookup, mapper cost
-// evaluation. Keeps the simulator honest about its own performance.
+// evaluation, the annealing mapper. Keeps the simulator honest about its
+// own performance.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <vector>
 
 #include "soc/apps/lpm.hpp"
 #include "soc/apps/route_gen.hpp"
+#include "soc/core/dse.hpp"
 #include "soc/core/mapping.hpp"
+#include "soc/core/scenario.hpp"
 #include "soc/apps/graphs.hpp"
 #include "soc/noc/traffic.hpp"
 #include "soc/proc/assembler.hpp"
@@ -104,6 +110,69 @@ void BM_MappingEvaluate(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MappingEvaluate);
+
+/// One annealer input shaped like dsebench new_app's: a generated graph,
+/// replicated per candidate as the sweep does, on one ladder platform.
+struct AnnealJob {
+  core::TaskGraph work;
+  const core::PlatformDesc* platform;
+  std::uint64_t seed;
+};
+
+/// ScenarioGenerator(seed).matrix(4, 1) for seeds 1-8 on the 18-candidate
+/// ladder at 90 nm: 576 mappings. Built once, outside every timed loop.
+const std::vector<AnnealJob>& anneal_ladder_jobs() {
+  static const std::vector<core::PlatformDesc> platforms = [] {
+    core::DseSpace ladder;
+    ladder.pe_counts = {4, 8, 16};
+    ladder.thread_counts = {2, 4};
+    ladder.topologies = {noc::TopologyKind::kBus, noc::TopologyKind::kMesh2D,
+                         noc::TopologyKind::kCrossbar};
+    ladder.fabrics = {tech::Fabric::kAsip};
+    std::vector<core::PlatformDesc> out;
+    for (const auto& c : core::enumerate_candidates(ladder)) {
+      out.push_back(core::make_candidate_platform(c));
+    }
+    return out;
+  }();
+  static const std::vector<AnnealJob> jobs = [] {
+    std::vector<AnnealJob> out;
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      for (const auto& g : core::ScenarioGenerator(seed).matrix(4, 1)) {
+        for (const auto& p : platforms) {
+          const int replicas = std::max(1, p.pe_count() / g.node_count());
+          out.push_back({g.replicated(replicas), &p, out.size()});
+        }
+      }
+    }
+    return out;
+  }();
+  return jobs;
+}
+
+/// The annealing mapper over the whole ladder at Arg iterations per
+/// mapping. Arg(1) is the greedy start plus the objective's set-up (what
+/// new_app's memo priming pays per mapping); Arg(1000) is new_app's loop.
+/// `s_per_mapping` is the time per mapping.
+void BM_AnnealLadder(benchmark::State& state) {
+  const auto& jobs = anneal_ladder_jobs();
+  core::AnnealConfig cfg;
+  cfg.iterations = static_cast<int>(state.range(0));
+  for (auto _ : state) {
+    for (const auto& job : jobs) {
+      sim::Rng rng(job.seed);
+      benchmark::DoNotOptimize(
+          core::anneal_mapping(job.work, *job.platform, {}, cfg, rng));
+    }
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(jobs.size()));
+  state.counters["s_per_mapping"] = benchmark::Counter(
+      static_cast<double>(jobs.size()),
+      benchmark::Counter::kIsIterationInvariantRate |
+          benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_AnnealLadder)->Arg(1)->Arg(1000);
 
 void BM_NocLoadPoint(benchmark::State& state) {
   for (auto _ : state) {

@@ -4,6 +4,7 @@
 /// Fixed-shape pairwise summation with exact O(log n) point updates.
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace soc::core {
@@ -38,8 +39,14 @@ class PairwiseSum {
 
   /// Rebuilds the tree from `leaves` (resizes to match).
   void assign(const std::vector<double>& leaves) {
-    resize(leaves.size());
-    for (std::size_t i = 0; i < leaves.size(); ++i) tree_[cap_ + i] = leaves[i];
+    assign(leaves.size(), [&leaves](std::size_t i) { return leaves[i]; });
+  }
+
+  /// Rebuilds the tree from n leaves, leaf i being `leaf(i)`.
+  template <class Leaf>
+  void assign(std::size_t n, const Leaf& leaf) {
+    resize(n);
+    for (std::size_t i = 0; i < n; ++i) tree_[cap_ + i] = leaf(i);
     for (std::size_t i = cap_ - 1; i >= 1; --i) {
       tree_[i] = tree_[2 * i] + tree_[2 * i + 1];
     }
@@ -62,6 +69,48 @@ class PairwiseSum {
 
   /// The pairwise total: O(1). Zero for an empty tree.
   double total() const noexcept { return n_ ? tree_[1] : 0.0; }
+
+  /// The total the tree would have with each leaf in `leaves` (ascending,
+  /// distinct, all < size()) replaced by `value(leaf)`, without modifying
+  /// the tree. Every internal node on a replaced leaf's path is re-added
+  /// from its two children, left + right, exactly as set() re-adds it, and
+  /// every other node is read as stored, so the result is bit-identical to
+  /// the total() after those set() calls. O(k log n) for k leaves.
+  template <class Value>
+  double total_with(std::span<const int> leaves, const Value& value) const {
+    if (leaves.empty()) return total();
+    // Climb from each replaced leaf in turn. A left child whose right
+    // sibling holds a later replaced leaf waits (at most one per level)
+    // until the climb from that sibling arrives.
+    std::size_t wait_node[64];
+    double wait_sum[64];
+    int waiting = 0;
+    double v = 0.0;
+    for (std::size_t j = 0; j < leaves.size(); ++j) {
+      // Node p at height h covers bottom-row slots [p << h, (p + 1) << h).
+      const std::size_t next =
+          j + 1 < leaves.size()
+              ? cap_ + static_cast<std::size_t>(leaves[j + 1])
+              : 2 * cap_;
+      std::size_t p = cap_ + static_cast<std::size_t>(leaves[j]);
+      v = value(leaves[j]);
+      for (int h = 0; p > 1; ++h, p >>= 1) {
+        if (p & 1) {
+          v = (waiting > 0 && wait_node[waiting - 1] == p - 1
+                   ? wait_sum[--waiting]
+                   : tree_[p - 1]) +
+              v;
+        } else if (next < (p + 2) << h) {
+          wait_node[waiting] = p;
+          wait_sum[waiting++] = v;
+          break;
+        } else {
+          v = v + tree_[p + 1];
+        }
+      }
+    }
+    return v;
+  }
 
   /// One-shot reduction with the same tree shape (what assign + total give).
   static double reduce(const std::vector<double>& leaves) {

@@ -1,7 +1,11 @@
 #include "soc/core/incremental_objective.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <stdexcept>
+#include <string>
+#include <utility>
 
 #include "mapping_internal.hpp"
 
@@ -9,6 +13,7 @@ namespace soc::core {
 
 using internal::cycles_on;
 using internal::edge_comm_contribution;
+using internal::edge_wire_contribution;
 using internal::energy_on;
 using internal::scalarized_objective;
 
@@ -20,8 +25,6 @@ IncrementalObjective::IncrementalObjective(const TaskGraph& graph,
     : graph_(&graph),
       platform_(&platform),
       weights_(weights),
-      em_(platform.node()),
-      constraints_(constraints),
       mapping_(std::move(initial)) {
   const int n = graph.node_count();
   const int npe = platform.pe_count();
@@ -29,174 +32,315 @@ IncrementalObjective::IncrementalObjective(const TaskGraph& graph,
     throw std::invalid_argument("IncrementalObjective: mapping size mismatch");
   }
 
-  node_cycles_.assign(static_cast<std::size_t>(n), 0.0);
-  pe_members_.assign(static_cast<std::size_t>(npe), {});
-  pe_load_.assign(static_cast<std::size_t>(npe), 0.0);
-  pe_used_.assign(static_cast<std::size_t>(npe), 0.0);
-  pe_over_.assign(static_cast<std::size_t>(npe), 0);
+  pes_.resize(static_cast<std::size_t>(npe));
+  unsigned fabrics = 0;  // bit f: some PE has fabric f
+  for (int p = 0; p < npe; ++p) {
+    const PeDesc& desc = platform.pe(p);
+    PeRow& pe = pes_[static_cast<std::size_t>(p)];
+    pe.fabric = static_cast<int>(desc.fabric);
+    pe.capacity = constraints.enforce_capacity ? desc.capacity : 0.0;
+    pe.hops = platform.hop_row(p);
+    pe.wire_pj = platform.wire_pj_row(p);
+    pe.any_kind = !constraints.enforce_kinds || desc.compatible_kinds.empty();
+    fabrics |= 1u << pe.fabric;
+  }
 
-  std::vector<double> node_energy(static_cast<std::size_t>(n), 0.0);
+  const tech::EnergyModel em(platform.node());
+  tasks_.resize(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {
     const int pe = mapping_[static_cast<std::size_t>(i)];
     if (pe < 0 || pe >= npe) {
       throw std::out_of_range("IncrementalObjective: PE index out of range");
     }
     const TaskNode& node = graph.node(i);
-    const tech::Fabric fabric = platform.pe(pe).fabric;
-    if (!node.allows(fabric)) ++infeasible_count_;
-    if (!constraints_.compatible(node, platform.pe(pe))) ++kind_violations_;
-    node_cycles_[static_cast<std::size_t>(i)] = cycles_on(node, fabric);
-    node_energy[static_cast<std::size_t>(i)] = energy_on(node, fabric, em_);
-    pe_members_[static_cast<std::size_t>(pe)].push_back(i);  // ascending: i grows
-    pe_load_[static_cast<std::size_t>(pe)] +=
-        node_cycles_[static_cast<std::size_t>(i)];
-    pe_used_[static_cast<std::size_t>(pe)] += node.demand;
+    TaskRow& t = tasks_[static_cast<std::size_t>(i)];
+    for (int f = 0; f < kFabrics; ++f) {
+      if (!(fabrics >> f & 1u)) continue;
+      const auto fabric = static_cast<tech::Fabric>(f);
+      t.cycles[f] = cycles_on(node, fabric);
+      t.energy[f] = energy_on(node, fabric, em);
+      if (node.allows(fabric)) t.allowed |= 1u << f;
+    }
+    t.demand = node.demand;
+    t.kind = node.kind;
+    // Ascending task order: the full evaluator's accumulation order.
+    PeRow& row = pes_[static_cast<std::size_t>(pe)];
+    ++row.count;
+    row.load += t.cycles[row.fabric];
+    row.used += t.demand;
+    misplaced_ += misplacements(i, pe);
+  }
+  // Member segments: counted above, filled in ascending task order.
+  int first = 0;
+  for (PeRow& row : pes_) {
+    row.first = first;
+    first += row.count;
+    row.count = 0;
+  }
+  members_.resize(static_cast<std::size_t>(n));
+  for (int i = 0; i < n; ++i) {
+    PeRow& row =
+        pes_[static_cast<std::size_t>(mapping_[static_cast<std::size_t>(i)])];
+    members_[static_cast<std::size_t>(row.first + row.count++)] = i;
   }
   for (int p = 0; p < npe; ++p) refresh_capacity_flag(p);
-  node_energy_.assign(node_energy);
-  bottleneck_ = *std::max_element(pe_load_.begin(), pe_load_.end());
+  rank_loads();
+  node_energy_.assign(tasks_.size(), [this](std::size_t i) {
+    return tasks_[i].energy[pes_[static_cast<std::size_t>(mapping_[i])].fabric];
+  });
 
-  const int ne = graph.edge_count();
-  std::vector<double> comm(static_cast<std::size_t>(ne), 0.0);
-  std::vector<double> wire(static_cast<std::size_t>(ne), 0.0);
-  // Every mapping entry was range-checked in the node loop above, so the
-  // edge pass streams the platform's contiguous SoA lanes unchecked.
-  for (int e = 0; e < ne; ++e) {
-    const TaskEdge& edge = graph.edge(e);
-    const int src_pe = mapping_[static_cast<std::size_t>(edge.src)];
-    const int dst_pe = mapping_[static_cast<std::size_t>(edge.dst)];
-    comm[static_cast<std::size_t>(e)] =
-        edge_comm_contribution(edge, platform.hop_row(src_pe)[dst_pe]);
-    wire[static_cast<std::size_t>(e)] = internal::edge_wire_contribution(
-        edge, platform.wire_pj_row(src_pe)[dst_pe]);
+  // Incident-edge lists: counted, then filled in ascending edge order, so
+  // each task's in- and out-edges come out merged and ascending.
+  const std::vector<TaskEdge>& edges = graph.edges();
+  for (const TaskEdge& e : edges) {
+    ++tasks_[static_cast<std::size_t>(e.src)].edge_count;
+    ++tasks_[static_cast<std::size_t>(e.dst)].edge_count;
   }
-  comm_.assign(comm);
-  wire_energy_.assign(wire);
+  first = 0;
+  for (TaskRow& t : tasks_) {
+    t.first_edge = first;
+    first += t.edge_count;
+    t.edge_count = 0;
+  }
+  incident_.resize(static_cast<std::size_t>(first));
+  for (int ei = 0; ei < static_cast<int>(edges.size()); ++ei) {
+    const TaskEdge& e = edges[static_cast<std::size_t>(ei)];
+    for (const int task : {e.src, e.dst}) {
+      TaskRow& t = tasks_[static_cast<std::size_t>(task)];
+      incident_[static_cast<std::size_t>(t.first_edge + t.edge_count++)] = ei;
+    }
+  }
+  comm_.assign(edges.size(), [&](std::size_t ei) {
+    const TaskEdge& e = edges[ei];
+    return edge_comm_contribution(
+        e, src_row(e).hops[mapping_[static_cast<std::size_t>(e.dst)]]);
+  });
+  wire_energy_.assign(edges.size(), [&](std::size_t ei) {
+    const TaskEdge& e = edges[ei];
+    return edge_wire_contribution(
+        e, src_row(e).wire_pj[mapping_[static_cast<std::size_t>(e.dst)]]);
+  });
 
   objective_ = scalarized_objective(weights_, bottleneck_, comm_.total(),
                                     energy_pj_per_item(), feasible());
 }
 
-void IncrementalObjective::recompute_pe_load(int pe) {
+bool IncrementalObjective::kind_ok(int task, int pe) const {
+  return pes_[static_cast<std::size_t>(pe)].any_kind ||
+         platform_->pe(pe).accepts_kind(
+             tasks_[static_cast<std::size_t>(task)].kind);
+}
+
+int IncrementalObjective::misplacements(int task, int pe) const {
+  const int fabric = pes_[static_cast<std::size_t>(pe)].fabric;
+  const bool allowed =
+      tasks_[static_cast<std::size_t>(task)].allowed >> fabric & 1u;
+  return (allowed ? 0 : 1) + (kind_ok(task, pe) ? 0 : 1);
+}
+
+void IncrementalObjective::check_move(int task, int new_pe,
+                                      const char* who) const {
+  if (task < 0 || task >= static_cast<int>(tasks_.size())) {
+    throw std::out_of_range(std::string(who) + ": bad task");
+  }
+  if (new_pe < 0 || new_pe >= static_cast<int>(pes_.size())) {
+    throw std::out_of_range(std::string(who) + ": bad PE");
+  }
+}
+
+void IncrementalObjective::resum(int pe) {
   // Re-summing the members in ascending node order reproduces, bit for bit,
   // the accumulation order of the full evaluator's single pass over nodes —
   // for the cycle load and the capacity demand alike.
+  PeRow& row = pes_[static_cast<std::size_t>(pe)];
   double load = 0.0;
   double used = 0.0;
-  for (const int i : pe_members_[static_cast<std::size_t>(pe)]) {
-    load += node_cycles_[static_cast<std::size_t>(i)];
-    used += graph_->node(i).demand;
+  for (const int i : members(row)) {
+    const TaskRow& t = tasks_[static_cast<std::size_t>(i)];
+    load += t.cycles[row.fabric];
+    used += t.demand;
   }
-  pe_load_[static_cast<std::size_t>(pe)] = load;
-  pe_used_[static_cast<std::size_t>(pe)] = used;
+  row.load = load;
+  row.used = used;
 }
 
 void IncrementalObjective::refresh_capacity_flag(int pe) {
-  const char over =
-      constraints_.fits(pe_used_[static_cast<std::size_t>(pe)],
-                        platform_->pe(pe))
-          ? 0
-          : 1;
-  char& flag = pe_over_[static_cast<std::size_t>(pe)];
-  over_capacity_pes_ += over - flag;
-  flag = over;
+  PeRow& row = pes_[static_cast<std::size_t>(pe)];
+  const bool over = !fits(row, row.used);
+  over_capacity_pes_ += (over ? 1 : 0) - (row.over ? 1 : 0);
+  row.over = over;
+}
+
+void IncrementalObjective::rank_loads() {
+  // bottleneck_ makes std::max_element's comparisons, in PE order; a NaN
+  // load never becomes max_pe_.
+  double bottleneck = pes_.front().load;
+  double max_load = -std::numeric_limits<double>::infinity();
+  int max_pe = -1;
+  for (int p = 0; p < static_cast<int>(pes_.size()); ++p) {
+    const double load = pes_[static_cast<std::size_t>(p)].load;
+    if (bottleneck < load) bottleneck = load;
+    if (load > max_load) {
+      max_load = load;
+      max_pe = p;
+    }
+  }
+  bottleneck_ = bottleneck;
+  max_pe_ = max_pe;
 }
 
 bool IncrementalObjective::move_feasible(int task, int new_pe) const {
-  if (task < 0 || task >= graph_->node_count()) {
-    throw std::out_of_range("IncrementalObjective::move_feasible: bad task");
-  }
-  if (new_pe < 0 || new_pe >= platform_->pe_count()) {
-    throw std::out_of_range("IncrementalObjective::move_feasible: bad PE");
-  }
-  const TaskNode& node = graph_->node(task);
-  const PeDesc& pe = platform_->pe(new_pe);
-  if (!constraints_.compatible(node, pe)) return false;
+  check_move(task, new_pe, "IncrementalObjective::move_feasible");
+  if (!kind_ok(task, new_pe)) return false;
   if (mapping_[static_cast<std::size_t>(task)] == new_pe) return true;
-  return constraints_.fits(pe_used_[static_cast<std::size_t>(new_pe)] +
-                               node.demand,
-                           pe);
+  const PeRow& row = pes_[static_cast<std::size_t>(new_pe)];
+  return fits(row, row.used + tasks_[static_cast<std::size_t>(task)].demand);
 }
 
-void IncrementalObjective::refresh_incident_edges(int task) {
-  // Mapping entries are maintained in-range by apply()/ctor validation, so
-  // the probes read the SoA lanes unchecked — this is the annealer's hottest
-  // path (two calls per proposed move via try_move/revert).
-  const auto touch = [&](int ei) {
-    const TaskEdge& edge = graph_->edge(ei);
-    const int src_pe = mapping_[static_cast<std::size_t>(edge.src)];
-    const int dst_pe = mapping_[static_cast<std::size_t>(edge.dst)];
-    comm_.set(static_cast<std::size_t>(ei),
-              edge_comm_contribution(edge, platform_->hop_row(src_pe)[dst_pe]));
-    wire_energy_.set(static_cast<std::size_t>(ei),
-                     internal::edge_wire_contribution(
-                         edge, platform_->wire_pj_row(src_pe)[dst_pe]));
-  };
-  for (const int ei : graph_->in_edges(task)) touch(ei);
-  for (const int ei : graph_->out_edges(task)) touch(ei);
-}
-
-void IncrementalObjective::apply(int task, int new_pe) {
+double IncrementalObjective::peek(int task, int new_pe) const {
+  check_move(task, new_pe, "IncrementalObjective::peek");
   const int old_pe = mapping_[static_cast<std::size_t>(task)];
-  const TaskNode& node = graph_->node(task);
-  const tech::Fabric old_fabric = platform_->pe(old_pe).fabric;
-  const tech::Fabric new_fabric = platform_->pe(new_pe).fabric;
+  // The cached state is a function of the mapping alone.
+  if (new_pe == old_pe) return objective_;
+  const TaskRow& moved = tasks_[static_cast<std::size_t>(task)];
+  const PeRow& from = pes_[static_cast<std::size_t>(old_pe)];
+  const PeRow& to = pes_[static_cast<std::size_t>(new_pe)];
 
-  mapping_[static_cast<std::size_t>(task)] = new_pe;
-
-  if (!node.allows(old_fabric)) --infeasible_count_;
-  if (!node.allows(new_fabric)) ++infeasible_count_;
-  if (!constraints_.compatible(node, platform_->pe(old_pe)))
-    --kind_violations_;
-  if (!constraints_.compatible(node, platform_->pe(new_pe)))
-    ++kind_violations_;
-
-  node_cycles_[static_cast<std::size_t>(task)] = cycles_on(node, new_fabric);
-  node_energy_.set(static_cast<std::size_t>(task),
-                   energy_on(node, new_fabric, em_));
-
-  if (new_pe != old_pe) {
-    auto& old_members = pe_members_[static_cast<std::size_t>(old_pe)];
-    old_members.erase(
-        std::lower_bound(old_members.begin(), old_members.end(), task));
-    auto& new_members = pe_members_[static_cast<std::size_t>(new_pe)];
-    new_members.insert(
-        std::lower_bound(new_members.begin(), new_members.end(), task), task);
+  // The two touched PEs, re-summed as try_move's resum() would: ascending
+  // members, the task skipped on the old PE and inserted on the new one.
+  double from_load = 0.0;
+  double from_used = 0.0;
+  for (const int i : members(from)) {
+    if (i == task) continue;
+    const TaskRow& t = tasks_[static_cast<std::size_t>(i)];
+    from_load += t.cycles[from.fabric];
+    from_used += t.demand;
   }
-  recompute_pe_load(old_pe);
-  recompute_pe_load(new_pe);
-  refresh_capacity_flag(old_pe);
-  refresh_capacity_flag(new_pe);
-  bottleneck_ = *std::max_element(pe_load_.begin(), pe_load_.end());
+  double to_load = 0.0;
+  double to_used = 0.0;
+  const auto add_to = [&](const TaskRow& t) {
+    to_load += t.cycles[to.fabric];
+    to_used += t.demand;
+  };
+  const std::span<const int> to_members = members(to);
+  auto it = to_members.begin();
+  for (; it != to_members.end() && *it < task; ++it) {
+    add_to(tasks_[static_cast<std::size_t>(*it)]);
+  }
+  add_to(moved);
+  for (; it != to_members.end(); ++it) {
+    add_to(tasks_[static_cast<std::size_t>(*it)]);
+  }
 
-  refresh_incident_edges(task);
+  // std::max_element over the loads after the move yields PE 0's load when
+  // that is NaN and otherwise the largest load that is not. Unless the move
+  // touches max_pe_, its load is the largest of the untouched PEs, and the
+  // O(P) pass is skipped.
+  double bottleneck = old_pe == 0   ? from_load
+                      : new_pe == 0 ? to_load
+                                    : pes_.front().load;
+  if (!std::isnan(bottleneck)) {
+    const auto raise = [&bottleneck](double load) {
+      if (bottleneck < load) bottleneck = load;
+    };
+    raise(from_load);
+    raise(to_load);
+    if (max_pe_ == old_pe || max_pe_ == new_pe) {
+      for (int p = 0; p < static_cast<int>(pes_.size()); ++p) {
+        if (p != old_pe && p != new_pe) {
+          raise(pes_[static_cast<std::size_t>(p)].load);
+        }
+      }
+    } else if (max_pe_ >= 0) {
+      raise(pes_[static_cast<std::size_t>(max_pe_)].load);
+    }
+  }
 
-  objective_ = scalarized_objective(weights_, bottleneck_, comm_.total(),
-                                    energy_pj_per_item(), feasible());
+  const int over = over_capacity_pes_ - (from.over ? 1 : 0) -
+                   (to.over ? 1 : 0) + (fits(from, from_used) ? 0 : 1) +
+                   (fits(to, to_used) ? 0 : 1);
+  const int misplaced = misplaced_ - misplacements(task, old_pe) +
+                        misplacements(task, new_pe);
+
+  const std::vector<TaskEdge>& edges = graph_->edges();
+  const auto pe_of = [&](int t) {
+    return t == task ? new_pe : mapping_[static_cast<std::size_t>(t)];
+  };
+  const double comm = comm_.total_with(incident(task), [&](int ei) {
+    const TaskEdge& e = edges[static_cast<std::size_t>(ei)];
+    return edge_comm_contribution(
+        e, pes_[static_cast<std::size_t>(pe_of(e.src))].hops[pe_of(e.dst)]);
+  });
+  const double wire = wire_energy_.total_with(incident(task), [&](int ei) {
+    const TaskEdge& e = edges[static_cast<std::size_t>(ei)];
+    return edge_wire_contribution(
+        e, pes_[static_cast<std::size_t>(pe_of(e.src))].wire_pj[pe_of(e.dst)]);
+  });
+  const double node_energy = node_energy_.total_with(
+      std::span<const int>(&task, 1),
+      [&](int) { return moved.energy[to.fabric]; });
+
+  return scalarized_objective(weights_, bottleneck, comm, node_energy + wire,
+                              misplaced == 0 && over == 0);
 }
 
 double IncrementalObjective::try_move(int task, int new_pe) {
-  if (task < 0 || task >= graph_->node_count()) {
-    throw std::out_of_range("IncrementalObjective::try_move: bad task");
-  }
-  if (new_pe < 0 || new_pe >= platform_->pe_count()) {
-    throw std::out_of_range("IncrementalObjective::try_move: bad PE");
-  }
-  last_task_ = task;
-  last_old_pe_ = mapping_[static_cast<std::size_t>(task)];
-  apply(task, new_pe);
-  return objective_;
-}
+  check_move(task, new_pe, "IncrementalObjective::try_move");
+  const int old_pe = mapping_[static_cast<std::size_t>(task)];
+  // The cached state is a function of the mapping alone.
+  if (new_pe == old_pe) return objective_;
+  misplaced_ += misplacements(task, new_pe) - misplacements(task, old_pe);
+  mapping_[static_cast<std::size_t>(task)] = new_pe;
+  node_energy_.set(static_cast<std::size_t>(task),
+                   tasks_[static_cast<std::size_t>(task)]
+                       .energy[pes_[static_cast<std::size_t>(new_pe)].fabric]);
 
-void IncrementalObjective::revert() {
-  if (last_task_ < 0) {
-    throw std::logic_error("IncrementalObjective::revert: nothing to revert");
+  // Move the task from its rank in the old PE's segment of members_ to its
+  // rank in the new one's: the tasks between shift by one slot, and so do
+  // the segments that start between.
+  PeRow& from = pes_[static_cast<std::size_t>(old_pe)];
+  PeRow& to = pes_[static_cast<std::size_t>(new_pe)];
+  const auto rank = [this, task](const PeRow& pe) {
+    const auto begin = members_.begin() + pe.first;
+    return std::lower_bound(begin, begin + pe.count, task);
+  };
+  const auto src = rank(from);
+  const auto dst = rank(to);
+  if (old_pe < new_pe) {
+    *std::move(src + 1, dst, src) = task;
+    for (int p = old_pe + 1; p <= new_pe; ++p) {
+      --pes_[static_cast<std::size_t>(p)].first;
+    }
+  } else {
+    std::move_backward(dst, src, src + 1);
+    *dst = task;
+    for (int p = new_pe + 1; p <= old_pe; ++p) {
+      ++pes_[static_cast<std::size_t>(p)].first;
+    }
   }
-  // Replaying the inverse move recomputes every touched cache entry from the
-  // same deterministic expressions, so the restored state is bit-identical.
-  apply(last_task_, last_old_pe_);
-  last_task_ = -1;
-  last_old_pe_ = -1;
+  --from.count;
+  ++to.count;
+
+  resum(old_pe);
+  resum(new_pe);
+  refresh_capacity_flag(old_pe);
+  refresh_capacity_flag(new_pe);
+  rank_loads();
+
+  const std::vector<TaskEdge>& edges = graph_->edges();
+  for (const int ei : incident(task)) {
+    const TaskEdge& e = edges[static_cast<std::size_t>(ei)];
+    const PeRow& src = src_row(e);
+    const int dst = mapping_[static_cast<std::size_t>(e.dst)];
+    comm_.set(static_cast<std::size_t>(ei),
+              edge_comm_contribution(e, src.hops[dst]));
+    wire_energy_.set(static_cast<std::size_t>(ei),
+                     edge_wire_contribution(e, src.wire_pj[dst]));
+  }
+
+  objective_ = scalarized_objective(weights_, bottleneck_, comm_.total(),
+                                    energy_pj_per_item(), feasible());
+  return objective_;
 }
 
 }  // namespace soc::core

@@ -511,7 +511,9 @@ Mapping anneal_mapping(const TaskGraph& graph, const PlatformDesc& platform,
 
   // All scoring goes through the O(degree) incremental evaluator; the full
   // evaluator runs zero times inside the loop (latency, which the objective
-  // excludes, is whatever the caller recomputes once on the result).
+  // excludes, is whatever the caller recomputes once on the result). Each
+  // proposal is scored read-only with peek, and only an accepted one is
+  // applied, so a rejected move writes nothing.
   IncrementalObjective obj(graph, platform, weights, best, constraints);
   double cur_obj = obj.objective();
   double best_obj = cur_obj;
@@ -535,16 +537,14 @@ Mapping anneal_mapping(const TaskGraph& graph, const PlatformDesc& platform,
     // and the unconstrained trajectory is untouched (every move passes).
     if (!obj.move_feasible(task, new_pe)) continue;
 
-    const double new_obj = obj.try_move(task, new_pe);
+    const double new_obj = obj.peek(task, new_pe);
     const double delta = new_obj - cur_obj;
     if (delta <= 0.0 || rng.next_double() < std::exp(-delta / temp)) {
-      cur_obj = new_obj;
+      cur_obj = obj.try_move(task, new_pe);
       if (cur_obj < best_obj) {
         best_obj = cur_obj;
         best = obj.mapping();
       }
-    } else {
-      obj.revert();
     }
   }
   return best;

@@ -8,7 +8,11 @@
 // ephemeral loopback ports and finishes fast enough for the `quick`
 // label, so the sanitizer CI jobs race all of it.
 
+#include <arpa/inet.h>
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -322,6 +326,98 @@ TEST(SocketTransport, ClosedConnectionsAreReaped) {
   // The route learned from the clients' frames went with the connection.
   EXPECT_THROW(server->message(0, 1, {7}), std::invalid_argument);
   server->shutdown();
+}
+
+/// A raw TCP connection to a listening SocketTransport on the loopback,
+/// for writing frames the transport itself would never send.
+class RawPeer {
+ public:
+  explicit RawPeer(std::uint16_t port)
+      : fd_(::socket(AF_INET, SOCK_STREAM, 0)) {
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(port);
+    connected_ = fd_ >= 0 && ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                                       sizeof(addr)) == 0;
+  }
+  ~RawPeer() { close(); }
+  RawPeer(const RawPeer&) = delete;
+  RawPeer& operator=(const RawPeer&) = delete;
+
+  bool connected() const { return connected_; }
+
+  /// Writes `words` as host (little-endian) words; false on a send error.
+  bool send(const std::vector<std::uint32_t>& words) {
+    const auto* bytes = reinterpret_cast<const char*>(words.data());
+    std::size_t left = words.size() * sizeof(std::uint32_t);
+    while (left > 0) {
+      const ssize_t n = ::send(fd_, bytes, left, MSG_NOSIGNAL);
+      if (n <= 0) return false;
+      bytes += n;
+      left -= static_cast<std::size_t>(n);
+    }
+    return true;
+  }
+
+  void close() {
+    if (fd_ >= 0) ::close(fd_);
+    fd_ = -1;
+  }
+
+ private:
+  int fd_;
+  bool connected_ = false;
+};
+
+TEST(SocketTransport, MalformedFramesAreRecorded) {
+  // The frame layout socket.hpp documents: magic 'S' 'O' 'C' + version 1,
+  // initiator, target, payload word count (at most 2^24), payload.
+  constexpr std::uint32_t kMagic = 0x534F4301u;
+  constexpr std::uint32_t kMaxWords = 1u << 24;
+  const struct {
+    const char* error;
+    std::vector<std::uint32_t> bytes;
+    bool close_after;
+  } cases[] = {
+      {"bad frame magic from peer", {0xDEADBEEFu, 1, 0, 1, 42}, false},
+      {"oversized frame from peer", {kMagic, 1, 0, kMaxWords + 1}, false},
+      {"truncated frame from peer", {kMagic, 1, 0, 8, 1, 2, 3}, true},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.error);
+    // A fresh server per case: last_error() keeps only the first error.
+    auto server = tlm::SocketTransport::listen(0);
+    Recorder rec;
+    server->attach(0, rec);
+    {
+      RawPeer peer(server->port());
+      ASSERT_TRUE(peer.connected());
+      ASSERT_TRUE(peer.send(c.bytes));
+      if (c.close_after) peer.close();
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while ((server->last_error().empty() ||
+              server->connection_count() != 0) &&
+             std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      }
+    }
+    EXPECT_EQ(server->last_error(), c.error);
+    EXPECT_EQ(server->connection_count(), 0u);
+    EXPECT_TRUE(rec.payloads().empty());
+
+    // The transport still serves a well-formed client.
+    auto client = tlm::SocketTransport::connect("127.0.0.1", server->port());
+    client->message(1, 0, {7, 8});
+    client->message(1, 0, {9});
+    rec.wait_for(2);
+    client->shutdown();
+    server->shutdown();  // joins the dispatcher: the count below is final
+    EXPECT_EQ(server->messages_delivered(), 2u);
+    EXPECT_EQ(rec.payloads()[1], (std::vector<std::uint32_t>{9}));
+    EXPECT_EQ(server->last_error(), c.error);
+  }
 }
 
 TEST(SocketTransport, ConnectToDeadPortFails) {

@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <string>
 
 #include "dse_session_util.hpp"
+#include "pinned_digest.hpp"
 #include "soc/apps/graphs.hpp"
 #include "test_fixtures.hpp"
 #include "soc/core/dse.hpp"
@@ -16,6 +20,8 @@
 #include "soc/core/mapper.hpp"
 #include "soc/core/mapping.hpp"
 #include "soc/core/objective_space.hpp"
+#include "soc/core/scenario.hpp"
+#include "soc/sim/parallel.hpp"
 
 namespace soc::core {
 namespace {
@@ -48,6 +54,43 @@ TEST(PairwiseSum, PointUpdatesMatchRebuild) {
   EXPECT_EQ(PairwiseSum().total(), 0.0);
 }
 
+TEST(PairwiseSum, TotalWithMatchesSetWithoutWriting) {
+  // total_with over any ascending subset of leaves (adjacent leaves, whole
+  // subtrees and the padded tail included) must equal, bit for bit, the
+  // total after set() on each of them, and leave the tree as it was.
+  sim::Rng rng(23);
+  for (const std::size_t n : {std::size_t{1}, std::size_t{2}, std::size_t{5},
+                              std::size_t{64}, std::size_t{100}}) {
+    std::vector<double> leaves(n);
+    for (auto& v : leaves) v = rng.next_double() * 1e3;
+    PairwiseSum tree;
+    tree.assign(leaves);
+    for (int trial = 0; trial < 200; ++trial) {
+      std::vector<int> picked;
+      const double density = rng.next_double();
+      for (std::size_t i = 0; i < n; ++i) {
+        if (rng.next_bool(density)) picked.push_back(static_cast<int>(i));
+      }
+      std::vector<double> fresh(n);
+      for (auto& v : fresh) v = rng.next_double() * 1e3;
+      const double before = tree.total();
+      const double peeked =
+          tree.total_with(picked, [&fresh](int i) {
+            return fresh[static_cast<std::size_t>(i)];
+          });
+      ASSERT_EQ(tree.total(), before);
+      PairwiseSum applied = tree;
+      for (const int i : picked) {
+        applied.set(static_cast<std::size_t>(i),
+                    fresh[static_cast<std::size_t>(i)]);
+      }
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(peeked),
+                std::bit_cast<std::uint64_t>(applied.total()))
+          << "n=" << n << " trial=" << trial << " k=" << picked.size();
+    }
+  }
+}
+
 // -------------------------------------------------- IncrementalObjective ---
 
 TEST(IncrementalObjective, MatchesFullEvaluatorOnConstruction) {
@@ -66,9 +109,10 @@ TEST(IncrementalObjective, MatchesFullEvaluatorOnConstruction) {
 }
 
 TEST(IncrementalObjective, BitExactOverRandomizedMoveSequences) {
-  // The tentpole contract: after ANY sequence of try_move/revert calls the
-  // incremental evaluator's state is bit-identical (EXPECT_EQ on doubles, no
-  // tolerance) to a from-scratch evaluation of the same mapping.
+  // The tentpole contract: after ANY sequence of try_move calls, undoing
+  // moves included, the incremental evaluator's state is bit-identical
+  // (EXPECT_EQ on doubles, no tolerance) to a from-scratch evaluation of the
+  // same mapping.
   for (const std::uint64_t seed : {1ULL, 2ULL, 3ULL, 4ULL}) {
     sim::Rng rng(seed);
     const int nodes = 8 + static_cast<int>(rng.next_below(12));
@@ -84,9 +128,10 @@ TEST(IncrementalObjective, BitExactOverRandomizedMoveSequences) {
       const int new_pe = static_cast<int>(
           rng.next_below(static_cast<std::uint64_t>(p.pe_count())));
       const double before = inc.objective();
+      const int old_pe = inc.mapping()[static_cast<std::size_t>(task)];
       inc.try_move(task, new_pe);
       if (rng.next_bool(0.4)) {
-        inc.revert();
+        inc.try_move(task, old_pe);
         ASSERT_EQ(inc.objective(), before) << "seed=" << seed << " step=" << step;
       }
       const MappingCost full = evaluate_mapping(g, p, inc.mapping(), w);
@@ -104,6 +149,131 @@ TEST(IncrementalObjective, BitExactOverRandomizedMoveSequences) {
   }
 }
 
+/// Drives `steps` seeded random moves (any task to any PE, constraint
+/// breaking ones included) through `inc`. Before each move, peek must leave
+/// objective() and mapping() untouched and return, bit for bit, what the
+/// following try_move returns; half the moves are then undone with
+/// try_move(task, old_pe). Counts how often a move flipped feasible().
+void expect_peek_matches_try_move(IncrementalObjective& inc, int tasks,
+                                  int pes, std::uint64_t seed, int steps,
+                                  int* feasibility_flips = nullptr) {
+  sim::Rng rng(seed);
+  for (int step = 0; step < steps; ++step) {
+    const int task = static_cast<int>(
+        rng.next_below(static_cast<std::uint64_t>(tasks)));
+    const int new_pe =
+        static_cast<int>(rng.next_below(static_cast<std::uint64_t>(pes)));
+    const double before = inc.objective();
+    const Mapping mapping_before = inc.mapping();
+    const bool was_feasible = inc.feasible();
+    const double peeked = inc.peek(task, new_pe);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(inc.objective()),
+              std::bit_cast<std::uint64_t>(before))
+        << "seed=" << seed << " step=" << step;
+    ASSERT_EQ(inc.mapping(), mapping_before)
+        << "seed=" << seed << " step=" << step;
+    const double applied = inc.try_move(task, new_pe);
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(peeked),
+              std::bit_cast<std::uint64_t>(applied))
+        << "seed=" << seed << " step=" << step << " peek=" << peeked
+        << " try_move=" << applied;
+    if (feasibility_flips && inc.feasible() != was_feasible) {
+      ++*feasibility_flips;
+    }
+    if (rng.next_bool(0.5)) {
+      inc.try_move(task, mapping_before[static_cast<std::size_t>(task)]);
+    }
+  }
+}
+
+TEST(IncrementalObjective, PeekIsTryMoveWithoutTheWrite) {
+  const ObjectiveWeights w;
+  {
+    SCOPED_TRACE("random DAG on CPU + ASIP PEs");
+    sim::Rng rng(11);
+    const TaskGraph g = random_dag(rng, 14, 10);
+    const PlatformDesc p = cpu_asip_platform(6);
+    IncrementalObjective inc(g, p, w, random_mapping(g, p, rng));
+    expect_peek_matches_try_move(inc, g.node_count(), p.pe_count(), 101, 2000);
+  }
+  for (const bool enforce : {true, false}) {
+    SCOPED_TRACE(enforce ? "tagged graph, default constraints"
+                         : "tagged graph, no constraints");
+    const MappingConstraints c =
+        enforce ? MappingConstraints{} : MappingConstraints::none();
+    const TaskGraph g = tagged_graph(1, 3, ScenarioShape::kFanInHeavy);
+    const PlatformDesc p = striped_platform(6, 3, 4.0);
+    sim::Rng rng(12);
+    Mapping m(static_cast<std::size_t>(g.node_count()));
+    for (auto& pe : m) pe = static_cast<int>(rng.next_below(6));
+    IncrementalObjective inc(g, p, w, m, c);
+    expect_peek_matches_try_move(inc, g.node_count(), p.pe_count(), 102, 2000);
+  }
+  {
+    SCOPED_TRACE("capacity-limited PEs, moves crossing the limit");
+    const TaskGraph g = tagged_graph(2, 1, ScenarioShape::kSeriesParallel);
+    const PlatformDesc p = striped_platform(5, 0, 4.0);
+    sim::Rng rng(13);
+    IncrementalObjective inc(g, p, w, random_mapping(g, p, rng));
+    int flips = 0;
+    expect_peek_matches_try_move(inc, g.node_count(), p.pe_count(), 103, 2000,
+                                 &flips);
+    EXPECT_GT(flips, 0) << "no move crossed a capacity limit";
+  }
+  {
+    SCOPED_TRACE("parallel edges; tasks with in- and out-edges");
+    TaskGraph g("parallel-edges");
+    for (int i = 0; i < 8; ++i) {
+      TaskNode t;
+      t.name = "n" + std::to_string(i);
+      t.work_ops = 20.0 + 15.0 * i;
+      g.add_node(std::move(t));
+    }
+    for (int i = 0; i + 1 < 8; ++i) {
+      g.add_edge({i, i + 1, 2.0 + i});
+      g.add_edge({i, i + 1, 3.0});  // parallel to the one above
+    }
+    g.add_edge({0, 4, 5.0});
+    g.add_edge({2, 6, 7.0});
+    g.add_edge({2, 6, 1.0});
+    g.add_edge({3, 7, 9.0});
+    const PlatformDesc p = cpu_asip_platform(5);
+    sim::Rng rng(14);
+    IncrementalObjective inc(g, p, w, random_mapping(g, p, rng));
+    expect_peek_matches_try_move(inc, g.node_count(), p.pe_count(), 104, 2000);
+  }
+  {
+    // A NaN load wins std::max_element only on PE 0; peek must take the
+    // same bottleneck wherever the task moves.
+    SCOPED_TRACE("a task with NaN work");
+    sim::Rng rng(15);
+    TaskGraph g = random_dag(rng, 9, 4);
+    TaskGraph nan_graph("nan-work");
+    for (TaskNode t : g.nodes()) {
+      if (nan_graph.node_count() == 3) {
+        t.work_ops = std::numeric_limits<double>::quiet_NaN();
+      }
+      nan_graph.add_node(std::move(t));
+    }
+    for (const TaskEdge& e : g.edges()) nan_graph.add_edge(e);
+    const PlatformDesc p = cpu_asip_platform(4);
+    IncrementalObjective inc(nan_graph, p, w,
+                             random_mapping(nan_graph, p, rng));
+    expect_peek_matches_try_move(inc, nan_graph.node_count(), p.pe_count(),
+                                 105, 2000);
+  }
+  {
+    const auto g = soc::apps::ipv4_task_graph();
+    const auto p = cpu_asip_platform(4);
+    const IncrementalObjective inc(
+        g, p, w, Mapping(static_cast<std::size_t>(g.node_count()), 0));
+    EXPECT_THROW(inc.peek(-1, 0), std::out_of_range);
+    EXPECT_THROW(inc.peek(g.node_count(), 0), std::out_of_range);
+    EXPECT_THROW(inc.peek(0, -1), std::out_of_range);
+    EXPECT_THROW(inc.peek(0, 99), std::out_of_range);
+  }
+}
+
 TEST(IncrementalObjective, ValidatesInputs) {
   const auto g = soc::apps::ipv4_task_graph();
   const auto p = cpu_asip_platform(4);
@@ -117,7 +287,6 @@ TEST(IncrementalObjective, ValidatesInputs) {
   IncrementalObjective inc(g, p, {}, ok);
   EXPECT_THROW(inc.try_move(-1, 0), std::out_of_range);
   EXPECT_THROW(inc.try_move(0, 99), std::out_of_range);
-  EXPECT_THROW(inc.revert(), std::logic_error);  // nothing applied yet
 }
 
 // ----------------------------------------------------------------- registry ---
@@ -253,6 +422,56 @@ TEST(Anneal, ExternalRngOverloadMatchesSeededForm) {
   ac.seed = 7;
   sim::Rng rng(7);
   EXPECT_EQ(anneal_mapping(g, p, {}, ac), anneal_mapping(g, p, {}, ac, rng));
+}
+
+TEST(AnnealMapping, NewAppShapedMappingsMatchPinnedDigest) {
+  // dsebench new_app's mapping shape: generated 4-scenario matrices on the
+  // 18-candidate ladder at 90 nm, each graph replicated per candidate as
+  // the sweep does, annealed for 1,000 iterations; then the kind-striped,
+  // capacity-limited fixtures under the default constraints, where the
+  // annealer rejects moves before scoring them. Any change to a single
+  // proposal, score or acceptance draw moves some returned mapping and so
+  // this digest.
+  DseSpace ladder;
+  ladder.pe_counts = {4, 8, 16};
+  ladder.thread_counts = {2, 4};
+  ladder.topologies = {noc::TopologyKind::kBus, noc::TopologyKind::kMesh2D,
+                       noc::TopologyKind::kCrossbar};
+  ladder.fabrics = {Fabric::kAsip};
+  std::vector<DseCandidate> candidates = enumerate_candidates(ladder);
+  ASSERT_EQ(candidates.size(), 18u);
+  std::vector<PlatformDesc> platforms;
+  for (const DseCandidate& c : candidates) {
+    platforms.push_back(make_candidate_platform(c));
+  }
+  AnnealConfig ac;
+  ac.iterations = 1000;
+  PinnedDigest d;
+  const auto digest = [&d](const Mapping& m) {
+    d.add(static_cast<std::uint64_t>(m.size()));
+    for (const int pe : m) d.add(static_cast<std::uint64_t>(pe));
+  };
+  std::uint64_t stream = 0;
+  for (const std::uint64_t seed : {1ULL, 2ULL}) {
+    for (const TaskGraph& g : ScenarioGenerator(seed).matrix(4, 1)) {
+      for (std::size_t c = 0; c < candidates.size(); ++c) {
+        const int replicas =
+            std::max(1, candidates[c].num_pes / g.node_count());
+        const TaskGraph work = g.replicated(replicas);
+        sim::Rng rng(sim::derive_seed(seed, stream++));
+        digest(anneal_mapping(work, platforms[c], {}, ac, rng));
+      }
+    }
+  }
+  const PlatformDesc striped = striped_platform(6, 3, 5.0);
+  for (int trial = 0; trial < 6; ++trial) {
+    const TaskGraph g = tagged_graph(trial, 3, ScenarioShape(trial % 3));
+    sim::Rng rng(
+        sim::derive_seed(0xcafeULL, static_cast<std::uint64_t>(trial)));
+    digest(anneal_mapping(g, striped, {}, ac, rng, MappingConstraints{}));
+  }
+  EXPECT_EQ(d, (PinnedDigest{1439, 0x4263b1400fff153cull,
+                             0x25984f52e10bc1f8ull}));
 }
 
 // ------------------------------------------------------------ DSE threading ---

@@ -4,6 +4,7 @@
 
 #include <condition_variable>
 #include <mutex>
+#include <stdexcept>
 
 #include "soc/noc/topologies.hpp"
 #include "soc/tlm/endpoints.hpp"
@@ -173,6 +174,25 @@ TEST(MemoryEndpoint, TracksMaxQueue) {
   for (int i = 0; i < 8; ++i) transport.read(0, 3, 0, 1, nullptr);
   queue.run_all();
   EXPECT_GT(mem.max_bank_queue(), 1u);
+}
+
+TEST(MemoryEndpoint, PeekReadsBackdoorAndNocWrites) {
+  Rig rig;
+  MemoryEndpoint mem(MemoryTiming{}, 64, rig.queue);
+  rig.transport.attach(2, mem);
+  mem.poke(5, 0xCAFEu);
+  EXPECT_EQ(mem.peek(5), 0xCAFEu);
+  EXPECT_EQ(mem.peek(6), 0u);
+  // The backdoor takes no simulated time and counts no access.
+  EXPECT_EQ(rig.queue.now(), 0u);
+  EXPECT_EQ(mem.reads() + mem.writes(), 0u);
+  // A write over the NoC lands where peek reads, word address = byte / 4.
+  rig.transport.write(0, 2, /*address=*/32, {7, 8}, nullptr);
+  rig.queue.run_all();
+  EXPECT_EQ(mem.peek(8), 7u);
+  EXPECT_EQ(mem.peek(9), 8u);
+  EXPECT_EQ(mem.peek(5), 0xCAFEu);
+  EXPECT_THROW(mem.peek(64), std::out_of_range);
 }
 
 TEST(MemoryEndpoint, OutOfRangeReadsReturnZero) {

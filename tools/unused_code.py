@@ -66,13 +66,9 @@ KEEP = {
         "soc::sim::SampleSet::min",
         "soc::tlm::LoopbackTransport::endpoint_count",
         "soc::tlm::LoopbackTransport::messages_delivered",
+        "soc::tlm::MemoryEndpoint::peek",
         "soc::tlm::SocketTransport::connection_count",
         "soc::tlm::SocketTransport::frames_received",
-    ],
-    # The binaries use the other half (poke, SocketTransport's other
-    # counters); nothing reads these, not even a test.
-    "read sides of interfaces the binaries use, read by nothing yet": [
-        "soc::tlm::MemoryEndpoint::peek",
         "soc::tlm::SocketTransport::last_error",
         "soc::tlm::SocketTransport::messages_delivered",
     ],
