@@ -6,11 +6,9 @@
 // sweep's DsePoint stream bit for bit at >= 5x stage-1 speedup, and an
 // overlapping superset sweep must hit on every shared candidate. Emits
 // BENCH_session_reuse.json (schema documented in README.md); the exit code
-// gates every verdict, and CTest runs `--quick` as test
-// bench.session_reuse_quick. `--quick` shrinks the sweep for CI smoke runs.
+// gates every verdict, and CTest runs it as test bench.session_reuse.
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -75,19 +73,18 @@ bool streams_identical(const std::vector<core::DsePoint>& a,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const bool quick = argc > 1 && std::strcmp(argv[1], "--quick") == 0;
+int main() {
   bench::JsonReport json("session_reuse");
 
   core::DseSpace space;
-  space.pe_counts = quick ? std::vector<int>{4, 8} : std::vector<int>{4, 8, 16};
-  space.thread_counts = quick ? std::vector<int>{2} : std::vector<int>{2, 4};
+  space.pe_counts = {4, 8, 16};
+  space.thread_counts = {2, 4};
   space.topologies = {noc::TopologyKind::kBus, noc::TopologyKind::kMesh2D,
                       noc::TopologyKind::kCrossbar};
   space.fabrics = {tech::Fabric::kAsip};
   space.nodes = {*tech::find_node("65nm")};  // real multi-cycle wires
   core::AnnealConfig ac;
-  ac.iterations = quick ? 400 : 2'000;
+  ac.iterations = 2'000;
   core::DseConfig dc;
   dc.die_mm2 = 225.0;
   dc.validate_pareto = true;
@@ -170,14 +167,14 @@ int main(int argc, char** argv) {
 
   bench::title("R3", "Cross-sweep memo: warm replay of an overlapping sweep");
   bench::note("same platform ladder swept twice (the scenario-matrix and");
-  bench::note("--quick re-run pattern): the warm pass must be bit-identical");
+  bench::note("repeated-run pattern): the warm pass must be bit-identical");
   bench::rule();
 
   // Serial sessions: the speedup figure should measure the kernel, not the
   // thread pool. (Thread-count bit-identity is property-tested in
   // tests/test_eval_cache.cpp.)
   core::AnnealConfig ac3;
-  ac3.iterations = quick ? 2'000 : 8'000;
+  ac3.iterations = 8'000;
   core::DseConfig dc3;
   dc3.die_mm2 = 225.0;
   dc3.num_threads = 1;
@@ -219,7 +216,7 @@ int main(int argc, char** argv) {
   // candidates sit at the same flat indices (pe_counts is an outer axis),
   // so even the seeded annealer hits on every one of them.
   core::DseSpace super_space = cold_space;
-  super_space.pe_counts.push_back(quick ? 16 : 32);
+  super_space.pe_counts.push_back(32);
   core::DseSession overlap(problem3, super_space, ac3, dc3);
   overlap.evaluate();
   const double overlap_hit_rate = overlap.cache_stats().hit_rate();
