@@ -258,8 +258,7 @@ int main() {
   bench::JsonReport json("mapper_quality");
 
   const std::vector<Instance> corpus = build_corpus(16);
-  const std::vector<std::string> heuristics = {"anneal", "greedy", "heft",
-                                               "random"};
+  const std::vector<std::string> heuristics = {"anneal", "greedy", "random"};
   core::AnnealConfig ac;
   ac.iterations = 2'000;
 
@@ -333,13 +332,12 @@ int main() {
   bench::title("R2", "NSGA-II mapping-front hypervolume vs single solutions");
   bench::note("3D volume dominated under a reference point 1.1x the nadir");
   bench::note("of the greedy and anneal mappings; NSGA-II seeds its");
-  bench::note("population with greedy and HEFT");
+  bench::note("population with greedy");
   bench::rule();
 
   const core::NsgaiiMapper nsga(ac);
   double hv_nsga_sum = 0.0;
   double hv_greedy_sum = 0.0;
-  double hv_heft_sum = 0.0;
   double hv_anneal_sum = 0.0;
   double front_size_sum = 0.0;
   double nsga_ms = 0.0;
@@ -353,7 +351,7 @@ int main() {
     nsga_ms += ms_since(t0);
     front_size_sum += static_cast<double>(front.size());
     std::map<std::string, core::MappingCost> singles;
-    for (const char* name : {"greedy", "heft", "anneal"}) {
+    for (const char* name : {"greedy", "anneal"}) {
       sim::Rng r2(0x3c3ULL + i);
       const core::Mapping m = core::make_mapper(name, ac)->map(
           inst.graph, inst.platform, weights, r2, inst.constraints);
@@ -362,7 +360,7 @@ int main() {
     }
     // Reference point: 1.1x the per-axis nadir of the feasible greedy and
     // anneal mappings, so no strategy's volume moves when only the front
-    // under test (or another single solution) changes.
+    // under test changes.
     double rx = 0.0;
     double ry = 0.0;
     double rz = 0.0;
@@ -389,21 +387,18 @@ int main() {
       return mc.feasible ? hypervolume_3d({mc}, rx, ry, rz) : 0.0;
     };
     hv_greedy_sum += single_hv("greedy");
-    hv_heft_sum += single_hv("heft");
     hv_anneal_sum += single_hv("anneal");
   }
   std::printf("  mean front size %.1f | %8.0f ns/front\n", front_size_sum / n,
               1e6 * nsga_ms / n);
-  std::printf("  mean hypervolume: nsga2 %.3g | greedy %.3g | heft %.3g | "
-              "anneal %.3g\n",
-              hv_nsga_sum / n, hv_greedy_sum / n, hv_heft_sum / n,
-              hv_anneal_sum / n);
+  std::printf("  mean hypervolume: nsga2 %.3g | greedy %.3g | anneal %.3g\n",
+              hv_nsga_sum / n, hv_greedy_sum / n, hv_anneal_sum / n);
   bench::rule();
   const bool hv_covers_seeds = hv_nsga_sum >= hv_greedy_sum - 1e-9 &&
-                               hv_nsga_sum >= hv_heft_sum - 1e-9;
+                               hv_nsga_sum >= hv_anneal_sum - 1e-9;
   bench::verdict(hv_covers_seeds,
-                 "the NSGA-II front dominates at least the volume of its "
-                 "greedy and HEFT seeds");
+                 "the NSGA-II front dominates at least the volume of the "
+                 "greedy and anneal mappings");
 
   bench::title("R3", "Session mapping fronts: thread/cache determinism");
   bench::note("DseSession.mapping_fronts with nsga2 across num_threads");
@@ -607,7 +602,6 @@ int main() {
   json.add("nsga2_mean_front_size", front_size_sum / n);
   json.add("hv_mean_nsga2", hv_nsga_sum / n);
   json.add("hv_mean_greedy", hv_greedy_sum / n);
-  json.add("hv_mean_heft", hv_heft_sum / n);
   json.add("hv_mean_anneal", hv_anneal_sum / n);
   json.add("session_front_extras", static_cast<long long>(front_points));
   json.add("gaps_nonnegative", gaps_nonnegative);

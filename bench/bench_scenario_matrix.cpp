@@ -1,7 +1,7 @@
 // Constrained scenario-matrix sweep: hundreds of generated task graphs
 // (ScenarioGenerator::matrix — layered / series-parallel / fan-in-heavy)
-// crossed with kind-striped, capacity-limited platforms under all four
-// registered mapping strategies. Measures per-mapper feasibility rate and
+// crossed with kind-striped, capacity-limited platforms under the random,
+// greedy and anneal mapping strategies. Measures per-mapper feasibility rate and
 // repair overhead (tasks moved, wall-clock share), checks the
 // feasible-or-typed-violation contract on every instance, and replays a
 // constrained scenario-set DseSession at 1/3/hardware threads to confirm
@@ -82,11 +82,10 @@ int main() {
   bench::title("M1", "Constrained matrix: feasibility and repair per mapper");
   bench::note(std::to_string(kScenarios) + " scenarios x " +
               std::to_string(platforms.size()) +
-              " kind-striped capacity-limited platforms x 4 mappers");
+              " kind-striped capacity-limited platforms x 3 mappers");
   bench::rule();
 
-  const std::vector<std::string> mappers = {"random", "greedy", "heft",
-                                            "anneal"};
+  const std::vector<std::string> mappers = {"random", "greedy", "anneal"};
   // Seed stride per graph, fixed so that a mapper's rows keep their seeds
   // when the mapper list changes.
   constexpr std::size_t kSeedStride = 8;
@@ -105,7 +104,6 @@ int main() {
                                    const core::MappingConstraints& c) {
       if (name == "random") return core::random_mapping(g, p, rng, c);
       if (name == "greedy") return core::greedy_mapping(g, p, {}, c);
-      if (name == "heft") return core::heft_mapping(g, p, {}, c);
       return core::anneal_mapping(g, p, {}, ac, rng, c);
     };
     for (std::size_t gi = 0; gi < graphs.size(); ++gi) {

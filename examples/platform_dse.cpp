@@ -15,10 +15,10 @@
 //
 // `threads` shards the sweep: 0 (default) uses every hardware core, 1 runs
 // serially. The points are bit-identical either way. `--mapper` picks any
-// registered mapping strategy (random | greedy | heft | anneal | nsga2 |
-// exact). `nsga2` evolves a mapping-level Pareto set per candidate;
-// `exact` is the branch-and-bound ground truth and fails loudly past its
-// 12-task node budget, so it only suits small (unreplicated) graphs.
+// registered mapping strategy (random | greedy | anneal | nsga2 | exact).
+// `nsga2` evolves a mapping-level Pareto set per candidate; `exact` is the
+// branch-and-bound ground truth and fails loudly past its 12-task node
+// budget, so it only suits small (unreplicated) graphs.
 // `--map-fronts` asks the strategy for its whole mapping front per
 // candidate (Mapper::map_front) and appends the extra trade-off points
 // after the candidate grid, so mapping-level trade-offs can surface on

@@ -133,7 +133,7 @@ class EvalCache {
   /// stochastic strategies (`deterministic_mapper` false) every anneal knob
   /// (its seed included) and the derived per-point seed are appended — two
   /// points share a memo entry only when their RNG streams are identical.
-  /// Deterministic strategies (greedy, heft — see Mapper::deterministic())
+  /// Deterministic strategies (greedy, exact — see Mapper::deterministic())
   /// omit both, so they hit across candidate indices, sweeps, and anneal
   /// budgets.
   static std::string mapping_key(const std::string& platform_key,

@@ -43,8 +43,8 @@ class ExactBudgetExceeded : public std::invalid_argument {
 /// joined with the mean-load bound over the cheapest remaining placements,
 /// plus the hop-lane minimum of every half-assigned edge and the cheapest
 /// remaining compute energy — prunes subtrees that provably cannot beat the
-/// incumbent. The incumbent starts at the better of the greedy and HEFT
-/// mappings, so the first descent already prunes aggressively.
+/// incumbent. The incumbent starts at the greedy mapping, so the first
+/// descent already prunes aggressively.
 ///
 /// Constraints: placements violating the kind/capacity policy are pruned
 /// MappingConstraints::move_feasible-style (compatible() + fits() before

@@ -36,7 +36,7 @@ class Mapper {
   virtual std::string_view name() const noexcept = 0;
 
   /// True when map() ignores `rng` entirely — same mapping for every seed
-  /// (the built-in "greedy" and "heft"). The DSE eval memo (EvalCache) keys
+  /// (the built-in "greedy" and "exact"). The DSE eval memo (EvalCache) keys
   /// deterministic strategies without their RNG stream, so their results
   /// are shared across candidate indices, sweeps, and anneal budgets.
   /// Strategies that consume the rng must return false (the default).
@@ -47,7 +47,7 @@ class Mapper {
   /// built-in strategies run their constraint-aware heuristic and then
   /// repair_mapping() as a final step, and custom strategies are expected to
   /// do the same (fabric misfits remain scored with the usual penalty, as
-  /// before). Strategies that are deterministic (greedy, heft) simply
+  /// before). Strategies that are deterministic (greedy, exact) simply
   /// ignore `rng`.
   virtual Mapping map(const TaskGraph& graph, const PlatformDesc& platform,
                       const ObjectiveWeights& weights, sim::Rng& rng,
@@ -85,8 +85,7 @@ using MapperFactory =
     std::function<std::unique_ptr<Mapper>(const AnnealConfig&)>;
 
 /// Registers (or replaces) a strategy under `name`. The built-in strategies
-/// — "random", "greedy", "heft", "anneal", "nsga2", "exact" — are
-/// pre-registered.
+/// — "random", "greedy", "anneal", "nsga2", "exact" — are pre-registered.
 void register_mapper(std::string name, MapperFactory factory);
 
 /// Sorted names of every registered strategy.

@@ -18,8 +18,8 @@ namespace soc::core {
 
 /// NoC latency per hop on an unloaded network (router pipeline + base link
 /// traversal + amortized NI overhead), cycles. Used by the pipeline-latency
-/// model and the HEFT ranker; physically annotated platforms add the
-/// tech-derived per-link extra cycles on top.
+/// model; physically annotated platforms add the tech-derived per-link
+/// extra cycles on top.
 inline constexpr double kNocCyclesPerHop = 5.0;
 
 /// One execution resource the mapper may place tasks on.
@@ -87,8 +87,8 @@ class PlatformDesc {
   const tech::ProcessNode& node() const noexcept { return node_; }
   /// Mean hop count over all ordered PE pairs.
   double avg_hops() const noexcept { return avg_hops_; }
-  /// Mean path_latency_cycles over all ordered distinct PE pairs (the HEFT
-  /// ranker's expected edge latency).
+  /// Mean path_latency_cycles over all ordered distinct PE pairs (the
+  /// expected latency of one edge under a placement-blind mapping).
   double avg_path_latency_cycles() const noexcept { return avg_latency_; }
   /// Physical spec the topology was annotated with, if any.
   const std::optional<noc::PhysicalSpec>& physical() const noexcept {
@@ -100,9 +100,10 @@ class PlatformDesc {
   // std::out_of_range) and returns that PE's contiguous pe_count()-wide lane
   // of the corresponding per-pair matrix; indexing the returned pointer with
   // a destination PE is the caller's contract (hot loops validate their
-  // mapping once, then stream the lane unchecked). The HEFT ready-time pass,
-  // the evaluators' edge loops, and the annealer's incremental probes all
-  // read these lanes instead of the checked scalar accessors.
+  // mapping once, then stream the lane unchecked). The evaluators' edge
+  // loops, greedy's placement scores, the exact mapper's descent and the
+  // annealer's incremental probes all read these lanes instead of the
+  // checked scalar accessors.
 
   /// Fused unloaded-latency lane of `pe_src`: latency_row(a)[b] ==
   /// path_latency_cycles(a, b), bit for bit.
@@ -170,8 +171,8 @@ MappingCost evaluate_mapping(const TaskGraph& graph, const PlatformDesc& platfor
                              const MappingConstraints& constraints = {});
 
 /// Uniform-random feasible-biased mapping: prefers PEs satisfying fabric,
-/// kind, and remaining-capacity constraints, relaxing capacity then kind
-/// when nothing qualifies (baseline for A2).
+/// kind, and remaining-capacity constraints, relaxing capacity, then kind,
+/// then fabric when nothing qualifies (baseline for A2).
 Mapping random_mapping(const TaskGraph& graph, const PlatformDesc& platform,
                        sim::Rng& rng,
                        const MappingConstraints& constraints = {});
@@ -182,15 +183,6 @@ Mapping random_mapping(const TaskGraph& graph, const PlatformDesc& platform,
 Mapping greedy_mapping(const TaskGraph& graph, const PlatformDesc& platform,
                        const ObjectiveWeights& weights = {},
                        const MappingConstraints& constraints = {});
-
-/// HEFT/PEFT-style list scheduler: tasks ranked by upward rank (mean execution
-/// cycles plus the critical downstream path, hop latency included), then each
-/// task greedily placed on the constraint-compatible PE minimizing its
-/// predicted finish time over the platform's hop matrix. Deterministic; no
-/// RNG involved.
-Mapping heft_mapping(const TaskGraph& graph, const PlatformDesc& platform,
-                     const ObjectiveWeights& weights = {},
-                     const MappingConstraints& constraints = {});
 
 /// Simulated-annealing refinement starting from the greedy solution.
 struct AnnealConfig {

@@ -179,13 +179,13 @@ void Search::run(int depth) {
     double d_wire = 0.0;
     for (const TaskEdge& e : graph->edges()) {
       if (e.src != t && e.dst != t) continue;
-      if (e.src == t && e.dst == t) continue;  // self edges carry no hops
       const int other = e.src == t ? e.dst : e.src;
       if (assign[static_cast<std::size_t>(other)] < 0) continue;
       const int ps = assign[static_cast<std::size_t>(e.src)];
       const int pd = assign[static_cast<std::size_t>(e.dst)];
-      d_comm += internal::edge_comm_contribution(e, platform->hops(ps, pd));
-      d_wire += internal::edge_wire_contribution(e, *platform, ps, pd);
+      d_comm += internal::edge_comm_contribution(e, platform->hop_row(ps)[pd]);
+      d_wire +=
+          internal::edge_wire_contribution(e, platform->wire_pj_row(ps)[pd]);
     }
     comm += d_comm;
     wire += d_wire;
@@ -279,8 +279,7 @@ MappingFrontPoint ExactMapper::solve(const TaskGraph& graph,
   for (int t = 0; t < n && strict_possible; ++t) {
     const TaskNode& task = graph.node(t);
     for (int p = 0; p < npe; ++p) {
-      if (task.allows(platform.pe(p).fabric) &&
-          constraints.compatible(task, platform.pe(p))) {
+      if (internal::eligible(task, platform.pe(p), constraints, 1, 0.0)) {
         s.cand[static_cast<std::size_t>(t)].push_back(p);
       }
     }
@@ -312,22 +311,15 @@ MappingFrontPoint ExactMapper::solve(const TaskGraph& graph,
     s.sum_cycles = s.comm = s.wire = s.node_energy = 0.0;
   };
 
-  // Incumbent: the better of the (repaired) greedy and HEFT mappings. Its
-  // objective is always an upper bound on the feasible optimum — a feasible
-  // solution beats any penalty-laden incumbent — so pruning against it never
-  // discards the optimum.
-  for (Mapping m : {greedy_mapping(graph, platform, weights, constraints),
-                    heft_mapping(graph, platform, weights, constraints)}) {
-    if (constraints.any()) repair_mapping(graph, platform, m, constraints);
-    const MappingCost mc =
-        evaluate_mapping(graph, platform, m, weights, constraints);
-    if (mc.objective < s.best_obj) {
-      s.best_obj = mc.objective;
-      s.best = std::move(m);
-      s.best_cost = mc;
-      s.found = mc.feasible;
-    }
-  }
+  // Incumbent: the (repaired) greedy mapping. Its objective is always an
+  // upper bound on the feasible optimum — a feasible solution beats any
+  // penalty-laden incumbent — so pruning against it never discards the
+  // optimum.
+  s.best = greedy_mapping(graph, platform, weights, constraints);
+  if (constraints.any()) repair_mapping(graph, platform, s.best, constraints);
+  s.best_cost = evaluate_mapping(graph, platform, s.best, weights, constraints);
+  s.best_obj = s.best_cost.objective;
+  s.found = s.best_cost.feasible;
 
   if (strict_possible) {
     prepare_suffixes();

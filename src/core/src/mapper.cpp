@@ -60,19 +60,6 @@ class GreedyMapper final : public Mapper {
   }
 };
 
-class HeftMapper final : public Mapper {
- public:
-  std::string_view name() const noexcept override { return "heft"; }
-  bool deterministic() const noexcept override { return true; }
-  Mapping map(const TaskGraph& graph, const PlatformDesc& platform,
-              const ObjectiveWeights& weights, sim::Rng&,
-              const MappingConstraints& constraints) const override {
-    return repaired(graph, platform,
-                    heft_mapping(graph, platform, weights, constraints),
-                    constraints);
-  }
-};
-
 class AnnealMapper final : public Mapper {
  public:
   explicit AnnealMapper(const AnnealConfig& cfg) : cfg_(cfg) {}
@@ -103,9 +90,6 @@ Registry& registry() {
     };
     reg->factories["greedy"] = [](const AnnealConfig&) {
       return std::unique_ptr<Mapper>(new GreedyMapper());
-    };
-    reg->factories["heft"] = [](const AnnealConfig&) {
-      return std::unique_ptr<Mapper>(new HeftMapper());
     };
     reg->factories["anneal"] = [](const AnnealConfig& cfg) {
       return std::unique_ptr<Mapper>(new AnnealMapper(cfg));

@@ -179,7 +179,6 @@ MappingCost evaluate_mapping(const TaskGraph& graph,
   std::vector<double> pe_cycles(static_cast<std::size_t>(npe), 0.0);
   std::vector<double> node_cycles(static_cast<std::size_t>(n), 0.0);
   std::vector<double> node_energy(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> pe_demand(static_cast<std::size_t>(npe), 0.0);
   for (int i = 0; i < n; ++i) {
     const int pe = mapping[static_cast<std::size_t>(i)];
     if (pe < 0 || pe >= npe) {
@@ -188,28 +187,14 @@ MappingCost evaluate_mapping(const TaskGraph& graph,
     const TaskNode& node = graph.node(i);
     const tech::Fabric fabric = platform.pe(pe).fabric;
     if (!node.allows(fabric)) cost.feasible = false;
-    if (!constraints.compatible(node, platform.pe(pe))) {
-      cost.violations.push_back(
-          {ConstraintViolationKind::kIncompatibleKind, i, pe,
-           "task " + std::to_string(i) + " (kind " +
-               std::to_string(node.kind) + ") on PE " + std::to_string(pe)});
-    }
-    pe_demand[static_cast<std::size_t>(pe)] += node.demand;
     node_cycles[static_cast<std::size_t>(i)] = cycles_on(node, fabric);
     pe_cycles[static_cast<std::size_t>(pe)] +=
         node_cycles[static_cast<std::size_t>(i)];
     node_energy[static_cast<std::size_t>(i)] = energy_on(node, fabric, em);
   }
-  for (int p = 0; p < npe; ++p) {
-    if (!constraints.fits(pe_demand[static_cast<std::size_t>(p)],
-                          platform.pe(p))) {
-      cost.violations.push_back(
-          {ConstraintViolationKind::kOverCapacity, -1, p,
-           "PE " + std::to_string(p) + " holds demand " +
-               std::to_string(pe_demand[static_cast<std::size_t>(p)]) +
-               " > capacity " + std::to_string(platform.pe(p).capacity)});
-    }
-  }
+  // Every index is in range here, so the audit reports only kind and
+  // capacity findings.
+  cost.violations = constraints.violations(graph, platform, mapping);
   if (!cost.violations.empty()) cost.feasible = false;
   cost.bottleneck_cycles =
       n ? *std::max_element(pe_cycles.begin(), pe_cycles.end()) : 0.0;
@@ -270,30 +255,18 @@ Mapping random_mapping(const TaskGraph& graph, const PlatformDesc& platform,
   std::vector<int> feasible;
   for (int i = 0; i < graph.node_count(); ++i) {
     const TaskNode& node = graph.node(i);
-    // Prefer PEs satisfying fabric + kind + remaining capacity; relax
-    // capacity, then kind, then fabric when the stricter set is empty (the
-    // historical fabric-only filter is the unconstrained fixed point, so the
-    // RNG stream is untouched on untagged graphs).
+    // Draw from the strictest non-empty rung of the placement ladder (the
+    // fabric-only rung is the unconstrained fixed point, so the RNG stream
+    // is untouched on untagged graphs); uniform over all PEs when even the
+    // fabric rung is empty.
     feasible.clear();
-    for (int p = 0; p < platform.pe_count(); ++p) {
-      const PeDesc& pe = platform.pe(p);
-      if (node.allows(pe.fabric) && constraints.compatible(node, pe) &&
-          constraints.fits(used[static_cast<std::size_t>(p)] + node.demand,
-                           pe)) {
-        feasible.push_back(p);
-      }
-    }
-    if (feasible.empty()) {
+    for (int strictness = 2; strictness >= 0 && feasible.empty();
+         --strictness) {
       for (int p = 0; p < platform.pe_count(); ++p) {
-        const PeDesc& pe = platform.pe(p);
-        if (node.allows(pe.fabric) && constraints.compatible(node, pe)) {
+        if (internal::eligible(node, platform.pe(p), constraints, strictness,
+                               used[static_cast<std::size_t>(p)])) {
           feasible.push_back(p);
         }
-      }
-    }
-    if (feasible.empty()) {
-      for (int p = 0; p < platform.pe_count(); ++p) {
-        if (node.allows(platform.pe(p).fabric)) feasible.push_back(p);
       }
     }
     int pick;
@@ -330,20 +303,16 @@ Mapping greedy_mapping(const TaskGraph& graph, const PlatformDesc& platform,
     const TaskNode& node = graph.node(node_idx);
     double best = std::numeric_limits<double>::infinity();
     int best_pe = 0;
-    // Strictness 2: fabric + kind + capacity; 1: fabric + kind; 0: fabric
-    // only (the historical filter). Relaxing only on an empty stricter set
-    // keeps unconstrained runs on the exact pre-constraint placement path.
+    // Relaxing the placement ladder only on an empty stricter rung keeps
+    // unconstrained runs on the exact pre-constraint placement path.
     for (int strictness = 2; strictness >= 0; --strictness) {
       for (int p = 0; p < platform.pe_count(); ++p) {
         const PeDesc& pe = platform.pe(p);
-        const tech::Fabric fabric = pe.fabric;
-        if (!node.allows(fabric)) continue;
-        if (strictness >= 1 && !constraints.compatible(node, pe)) continue;
-        if (strictness == 2 &&
-            !constraints.fits(
-                pe_used[static_cast<std::size_t>(p)] + node.demand, pe)) {
+        if (!internal::eligible(node, pe, constraints, strictness,
+                                pe_used[static_cast<std::size_t>(p)])) {
           continue;
         }
+        const tech::Fabric fabric = pe.fabric;
         const double new_load =
             pe_cycles[static_cast<std::size_t>(p)] + cycles_on(node, fabric);
         // Communication with already-placed neighbors: only the node's own
@@ -374,130 +343,6 @@ Mapping greedy_mapping(const TaskGraph& graph, const PlatformDesc& platform,
     m[static_cast<std::size_t>(node_idx)] = best_pe;
     pe_cycles[static_cast<std::size_t>(best_pe)] +=
         cycles_on(node, platform.pe(best_pe).fabric);
-    pe_used[static_cast<std::size_t>(best_pe)] += node.demand;
-  }
-  return m;
-}
-
-Mapping heft_mapping(const TaskGraph& graph, const PlatformDesc& platform,
-                     const ObjectiveWeights& weights,
-                     const MappingConstraints& constraints) {
-  (void)weights;  // HEFT optimizes predicted finish time, not the scalarized
-                  // objective; the parameter keeps the strategy signature
-                  // uniform across mappers.
-  const int n = graph.node_count();
-  const int npe = platform.pe_count();
-  Mapping m(static_cast<std::size_t>(n), 0);
-  if (n == 0) return m;
-
-  // Mean execution cycles over the PEs each task may run on (all PEs when the
-  // platform offers no feasible fabric — mirroring the other mappers, which
-  // also degrade to infeasible placements rather than failing).
-  std::vector<double> avg_cycles(static_cast<std::size_t>(n), 0.0);
-  std::vector<char> any_allowed(static_cast<std::size_t>(n), 0);
-  for (int i = 0; i < n; ++i) {
-    const TaskNode& node = graph.node(i);
-    double sum_allowed = 0.0, sum_all = 0.0;
-    int n_allowed = 0;
-    for (int p = 0; p < npe; ++p) {
-      const double c = cycles_on(node, platform.pe(p).fabric);
-      sum_all += c;
-      if (node.allows(platform.pe(p).fabric)) {
-        sum_allowed += c;
-        ++n_allowed;
-      }
-    }
-    any_allowed[static_cast<std::size_t>(i)] = n_allowed > 0;
-    avg_cycles[static_cast<std::size_t>(i)] =
-        n_allowed > 0 ? sum_allowed / n_allowed : sum_all / npe;
-  }
-
-  // Upward rank over the reverse topological order: rank(u) = avg_cycles(u) +
-  // max over successors of (path latency at the platform's average distance +
-  // rank(succ)). Guarantees rank(pred) >= rank(succ).
-  const double avg_edge_latency = platform.avg_path_latency_cycles();
-  const auto topo = graph.topological_order();
-  std::vector<double> rank(static_cast<std::size_t>(n), 0.0);
-  for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    const int u = *it;
-    double down = 0.0;
-    for (const int ei : graph.out_edges(u)) {
-      down = std::max(
-          down, avg_edge_latency + rank[static_cast<std::size_t>(graph.edge(ei).dst)]);
-    }
-    rank[static_cast<std::size_t>(u)] = avg_cycles[static_cast<std::size_t>(u)] + down;
-  }
-
-  // Schedule order: rank descending; ties broken by topological position so
-  // predecessors always precede successors (equal ranks only happen along
-  // zero-cost chains).
-  std::vector<int> topo_pos(static_cast<std::size_t>(n), 0);
-  for (int i = 0; i < n; ++i) {
-    topo_pos[static_cast<std::size_t>(topo[static_cast<std::size_t>(i)])] = i;
-  }
-  std::vector<int> order(static_cast<std::size_t>(n));
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](int a, int b) {
-    const double ra = rank[static_cast<std::size_t>(a)];
-    const double rb = rank[static_cast<std::size_t>(b)];
-    if (ra != rb) return ra > rb;
-    return topo_pos[static_cast<std::size_t>(a)] < topo_pos[static_cast<std::size_t>(b)];
-  });
-
-  // Earliest-finish-time placement over the hop matrix, restricted to
-  // constraint-compatible PEs with remaining capacity (relaxing capacity,
-  // then kind, when the stricter set is empty — same ladder as greedy, so
-  // unconstrained runs place identically to the pre-constraint scheduler).
-  // The ready-time pass is batched: one sweep per predecessor streams that
-  // predecessor's fused latency lane across every candidate PE at once
-  // (max is value-associative, so the lane order is bit-exact with the
-  // historical per-PE recombination), and the constraint ladder then only
-  // selects over the precomputed lane.
-  std::vector<double> pe_free(static_cast<std::size_t>(npe), 0.0);
-  std::vector<double> pe_used(static_cast<std::size_t>(npe), 0.0);
-  std::vector<double> finish(static_cast<std::size_t>(n), 0.0);
-  std::vector<double> ready_lane(static_cast<std::size_t>(npe), 0.0);
-  for (const int u : order) {
-    const TaskNode& node = graph.node(u);
-    ready_lane.assign(pe_free.begin(), pe_free.end());
-    for (const int ei : graph.in_edges(u)) {
-      const int pred = graph.edge(ei).src;
-      const double pred_finish = finish[static_cast<std::size_t>(pred)];
-      const double* lat_lane =
-          platform.latency_row(m[static_cast<std::size_t>(pred)]);
-      for (int p = 0; p < npe; ++p) {
-        ready_lane[static_cast<std::size_t>(p)] =
-            std::max(ready_lane[static_cast<std::size_t>(p)],
-                     pred_finish + lat_lane[p]);
-      }
-    }
-    double best_eft = std::numeric_limits<double>::infinity();
-    int best_pe = 0;
-    for (int strictness = 2; strictness >= 0; --strictness) {
-      for (int p = 0; p < npe; ++p) {
-        const PeDesc& pe = platform.pe(p);
-        if (any_allowed[static_cast<std::size_t>(u)] &&
-            !node.allows(pe.fabric)) {
-          continue;
-        }
-        if (strictness >= 1 && !constraints.compatible(node, pe)) continue;
-        if (strictness == 2 &&
-            !constraints.fits(
-                pe_used[static_cast<std::size_t>(p)] + node.demand, pe)) {
-          continue;
-        }
-        const double eft =
-            ready_lane[static_cast<std::size_t>(p)] + cycles_on(node, pe.fabric);
-        if (eft < best_eft) {
-          best_eft = eft;
-          best_pe = p;
-        }
-      }
-      if (best_eft < std::numeric_limits<double>::infinity()) break;
-    }
-    m[static_cast<std::size_t>(u)] = best_pe;
-    finish[static_cast<std::size_t>(u)] = best_eft;
-    pe_free[static_cast<std::size_t>(best_pe)] = best_eft;
     pe_used[static_cast<std::size_t>(best_pe)] += node.demand;
   }
   return m;

@@ -4,8 +4,8 @@
 // objective, and every mapper strategy. Not installed: the bit-exactness
 // contract between evaluate_mapping and IncrementalObjective rests on both
 // sides computing each per-node / per-edge contribution with *these exact
-// expressions* (and reducing them in the same order), so the formulas live in
-// one place.
+// expressions* (and reducing them in the same order), and the mappers must
+// agree on which PEs a task may take, so each rule lives in one place.
 
 #include "soc/core/mapping.hpp"
 #include "soc/core/task_graph.hpp"
@@ -33,20 +33,24 @@ inline double edge_comm_contribution(const TaskEdge& e, int hops) {
 }
 
 /// Wire energy of one edge under the current placement (pJ): payload words
-/// times the platform's routed-path energy per word — floorplanned lengths
-/// on physical platforms, the legacy 1 mm/hop scale otherwise (both baked
-/// into PlatformDesc::wire_pj_per_word).
-inline double edge_wire_contribution(const TaskEdge& e,
-                                     const PlatformDesc& platform, int src_pe,
-                                     int dst_pe) {
-  return e.words_per_item * platform.wire_pj_per_word(src_pe, dst_pe);
-}
-
-/// Same contribution fed a lane-read energy figure (wire_pj_row) — the form
-/// the batched edge loops use once the mapping's PE indices are validated.
-/// Must stay the exact expression of the overload above.
+/// times the routed path's energy per word, read from
+/// PlatformDesc::wire_pj_row — floorplanned lengths on physical platforms,
+/// the legacy 1 mm/hop scale otherwise.
 inline double edge_wire_contribution(const TaskEdge& e, double wire_pj_per_word) {
   return e.words_per_item * wire_pj_per_word;
+}
+
+/// The placement ladder every constructive mapper relaxes down, one rung at
+/// a time, when a stricter rung admits no PE: `node` may sit on `pe` at
+/// strictness 0 when the PE's fabric is allowed, at 1 when the kind policy
+/// also accepts it, and at 2 when the PE, already holding `used` demand,
+/// also has room for the task's.
+inline bool eligible(const TaskNode& node, const PeDesc& pe,
+                     const MappingConstraints& constraints, int strictness,
+                     double used) {
+  return node.allows(pe.fabric) &&
+         (strictness < 1 || constraints.compatible(node, pe)) &&
+         (strictness < 2 || constraints.fits(used + node.demand, pe));
 }
 
 /// The scalarized objective both evaluators report (pipeline latency is a

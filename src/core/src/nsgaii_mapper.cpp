@@ -157,12 +157,11 @@ std::vector<MappingFrontPoint> NsgaiiMapper::map_front(
   const int npe = platform.pe_count();
   const bool repair = constraints.any();
 
-  // Seeded population: the two deterministic heuristics anchor the search
-  // near known-good placements, the rest explores.
+  // Seeded population: the greedy mapping anchors the search near a
+  // known-good placement, the rest explores.
   std::vector<Mapping> pop;
   pop.reserve(kPopulation);
   pop.push_back(greedy_mapping(graph, platform, weights, constraints));
-  pop.push_back(heft_mapping(graph, platform, weights, constraints));
   while (static_cast<int>(pop.size()) < kPopulation) {
     pop.push_back(random_mapping(graph, platform, rng, constraints));
   }

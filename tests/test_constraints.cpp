@@ -258,7 +258,7 @@ TEST(Mappers, EveryStrategyFeasibleOrTypedUnderRandomConstraints) {
     const PlatformDesc p =
         striped_platform(pes, kinds, capped ? 2.0 * g.node_count() : 0.0);
     const MappingConstraints c;
-    for (const char* name : {"random", "greedy", "heft", "anneal"}) {
+    for (const char* name : {"random", "greedy", "anneal"}) {
       SCOPED_TRACE(std::string(name) + " trial " + std::to_string(trial));
       AnnealConfig quick;
       quick.iterations = 800;
@@ -279,7 +279,7 @@ TEST(Mappers, EveryStrategyFeasibleOrTypedUnderRandomConstraints) {
   }
   // These instances are all satisfiable (striped kinds < PE groups, generous
   // capacity), so repair must have delivered feasibility every time.
-  EXPECT_EQ(feasible_instances, 12 * 4);
+  EXPECT_EQ(feasible_instances, 12 * 3);
 }
 
 TEST(Mappers, TightCapacityForcesSpreadingAndStaysFeasible) {
@@ -295,7 +295,7 @@ TEST(Mappers, TightCapacityForcesSpreadingAndStaysFeasible) {
   for (int i = 0; i + 1 < 6; ++i) g.add_edge({i, i + 1, 4.0});
   const PlatformDesc p = striped_platform(3, 0, 2.0);
   const MappingConstraints c;
-  for (const char* name : {"random", "greedy", "heft", "anneal"}) {
+  for (const char* name : {"random", "greedy", "anneal"}) {
     SCOPED_TRACE(name);
     AnnealConfig quick;
     quick.iterations = 800;
@@ -314,7 +314,7 @@ TEST(Mappers, UnconstrainedOutputsBitExactWithVacuousPolicy) {
   // for the default policy AND none().
   const TaskGraph g = tagged_graph(3, 1, ScenarioShape::kLayered);
   const PlatformDesc p = striped_platform(5, 0, 0.0);
-  for (const char* name : {"random", "greedy", "heft", "anneal"}) {
+  for (const char* name : {"random", "greedy", "anneal"}) {
     SCOPED_TRACE(name);
     AnnealConfig quick;
     quick.iterations = 1200;

@@ -127,17 +127,13 @@ TEST(EvalCacheProperty, WarmAnnealSweepIsBitIdenticalToCold) {
   expect_warm_equals_cold("anneal", false);
 }
 
-TEST(EvalCacheProperty, WarmHeftSweepIsBitIdenticalToCold) {
-  expect_warm_equals_cold("heft", false);
-}
-
 TEST(EvalCacheProperty, WarmGreedySweepIsBitIdenticalToCold) {
   expect_warm_equals_cold("greedy", false);
 }
 
 TEST(EvalCacheProperty, WarmConstrainedSweepsAreBitIdenticalToCold) {
   expect_warm_equals_cold("anneal", true);
-  expect_warm_equals_cold("heft", true);
+  expect_warm_equals_cold("greedy", true);
 }
 
 TEST(EvalCacheProperty, DisablingTheCacheIsBitIdenticalToo) {
@@ -187,19 +183,19 @@ TEST(EvalCacheProperty, OverlappingSweepHitsOnEverySharedCandidate) {
   }
 
   // A deterministic mapper additionally hits across *different* flat
-  // indices: the wide sweep's extra candidates reuse nothing, but a heft
+  // indices: the wide sweep's extra candidates reuse nothing, but a greedy
   // re-sweep of the narrow space hits even though its per-point seeds
-  // differ from any earlier heft run at other indices.
-  DseConfig heft_dc = dc;
-  heft_dc.mapper = "heft";
-  DseSession heft_a(problem, narrow, ac, heft_dc);
-  heft_a.evaluate();
+  // differ from any earlier greedy run at other indices.
+  DseConfig greedy_dc = dc;
+  greedy_dc.mapper = "greedy";
+  DseSession greedy_a(problem, narrow, ac, greedy_dc);
+  greedy_a.evaluate();
   AnnealConfig other_seed = ac;
   other_seed.seed = ac.seed + 17;  // different derived seeds everywhere
-  DseSession heft_b(problem, narrow, other_seed, heft_dc);
-  heft_b.evaluate();
-  EXPECT_EQ(heft_b.cache_stats().mapping_hits, shared);
-  EXPECT_EQ(heft_b.cache_stats().mapping_misses, 0u);
+  DseSession greedy_b(problem, narrow, other_seed, greedy_dc);
+  greedy_b.evaluate();
+  EXPECT_EQ(greedy_b.cache_stats().mapping_hits, shared);
+  EXPECT_EQ(greedy_b.cache_stats().mapping_misses, 0u);
 }
 
 }  // namespace

@@ -104,16 +104,16 @@ TEST(EvalCacheKeys, MappingKeyDropsSeedOnlyForDeterministicMappers) {
   EXPECT_NE(EvalCache::mapping_key(pk, gk, "anneal", w, mc, ac, false, 1),
             EvalCache::mapping_key(pk, gk, "anneal", w, mc, longer, false, 1));
   // Deterministic: seeds and anneal budgets share one entry.
-  EXPECT_EQ(EvalCache::mapping_key(pk, gk, "heft", w, mc, ac, true, 1),
-            EvalCache::mapping_key(pk, gk, "heft", w, mc, longer, true, 2));
+  EXPECT_EQ(EvalCache::mapping_key(pk, gk, "greedy", w, mc, ac, true, 1),
+            EvalCache::mapping_key(pk, gk, "greedy", w, mc, longer, true, 2));
   // But weights and constraint policy always split.
   ObjectiveWeights w2;
   w2.comm = w.comm * 2.0;
-  EXPECT_NE(EvalCache::mapping_key(pk, gk, "heft", w, mc, ac, true, 1),
-            EvalCache::mapping_key(pk, gk, "heft", w2, mc, ac, true, 1));
+  EXPECT_NE(EvalCache::mapping_key(pk, gk, "greedy", w, mc, ac, true, 1),
+            EvalCache::mapping_key(pk, gk, "greedy", w2, mc, ac, true, 1));
   EXPECT_NE(
-      EvalCache::mapping_key(pk, gk, "heft", w, mc, ac, true, 1),
-      EvalCache::mapping_key(pk, gk, "heft", w, MappingConstraints::none(),
+      EvalCache::mapping_key(pk, gk, "greedy", w, mc, ac, true, 1),
+      EvalCache::mapping_key(pk, gk, "greedy", w, MappingConstraints::none(),
                              ac, true, 1));
 }
 

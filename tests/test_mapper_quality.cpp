@@ -67,8 +67,8 @@ TEST(ExactMapper, NeverWorseThanAnyRegistryStrategy) {
   AnnealConfig cfg;
   cfg.iterations = 240;
   const ObjectiveWeights weights;
-  const std::vector<std::string> strategies = {"anneal", "greedy", "heft",
-                                               "nsga2", "random"};
+  const std::vector<std::string> strategies = {"anneal", "greedy", "nsga2",
+                                               "random"};
   int instances = 0;
   for (const bool constrained : {false, true}) {
     const MappingConstraints constraints =
@@ -179,19 +179,17 @@ TEST(MapFront, DefaultIsSingletonOfMapResult) {
   const TaskGraph g = small_scenario(ScenarioShape::kLayered, 1, 0);
   const PlatformDesc platform = cpu_asip_platform(4);
   const ObjectiveWeights weights;
-  for (const char* name : {"greedy", "heft"}) {
-    const auto mapper = make_mapper(name);
-    sim::Rng rng_a(3);
-    sim::Rng rng_b(3);
-    const auto front = mapper->map_front(g, platform, weights, rng_a,
-                                         MappingConstraints::none());
-    ASSERT_EQ(front.size(), 1u);
-    EXPECT_EQ(front[0].mapping, mapper->map(g, platform, weights, rng_b,
-                                            MappingConstraints::none()));
-    const MappingCost re = evaluate_mapping(g, platform, front[0].mapping,
-                                            weights);
-    EXPECT_EQ(front[0].cost.objective, re.objective);
-  }
+  const auto mapper = make_mapper("greedy");
+  sim::Rng rng_a(3);
+  sim::Rng rng_b(3);
+  const auto front = mapper->map_front(g, platform, weights, rng_a,
+                                       MappingConstraints::none());
+  ASSERT_EQ(front.size(), 1u);
+  EXPECT_EQ(front[0].mapping, mapper->map(g, platform, weights, rng_b,
+                                          MappingConstraints::none()));
+  const MappingCost re = evaluate_mapping(g, platform, front[0].mapping,
+                                          weights);
+  EXPECT_EQ(front[0].cost.objective, re.objective);
 }
 
 TEST(MapFront, RegistryCarriesExactAndNsga2) {
