@@ -165,7 +165,7 @@ class IncrementalObjective {
   int misplaced_ = 0;  // disallowed-fabric plus kind-incompatible placements
   int over_capacity_pes_ = 0;
   double bottleneck_ = 0.0;
-  int max_pe_ = -1;  // first PE with the largest non-NaN load; -1 none
+  int max_pe_ = 0;  // first PE with the largest load
   double objective_ = 0.0;
 };
 

@@ -48,9 +48,11 @@ class TaskGraph {
   /// An empty graph carrying its application name.
   explicit TaskGraph(std::string name) : name_(std::move(name)) {}
 
-  /// Appends a task; returns its node index.
+  /// Appends a task; returns its node index. Throws std::invalid_argument
+  /// when work_ops or demand is NaN, infinite or negative.
   int add_node(TaskNode node);
-  /// Appends a directed edge; endpoints must already exist.
+  /// Appends a directed edge; endpoints must already exist and differ, and
+  /// words_per_item must be finite and >= 0 (else std::invalid_argument).
   void add_edge(TaskEdge edge);
 
   /// Application name.

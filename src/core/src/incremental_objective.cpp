@@ -1,8 +1,6 @@
 #include "soc/core/incremental_objective.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -172,21 +170,16 @@ void IncrementalObjective::refresh_capacity_flag(int pe) {
 }
 
 void IncrementalObjective::rank_loads() {
-  // bottleneck_ makes std::max_element's comparisons, in PE order; a NaN
-  // load never becomes max_pe_.
-  double bottleneck = pes_.front().load;
-  double max_load = -std::numeric_limits<double>::infinity();
-  int max_pe = -1;
-  for (int p = 0; p < static_cast<int>(pes_.size()); ++p) {
-    const double load = pes_[static_cast<std::size_t>(p)].load;
-    if (bottleneck < load) bottleneck = load;
-    if (load > max_load) {
-      max_load = load;
-      max_pe = p;
+  // TaskGraph admits only finite work, so the first largest load is the
+  // value std::max_element yields.
+  max_pe_ = 0;
+  for (int p = 1; p < static_cast<int>(pes_.size()); ++p) {
+    if (pes_[static_cast<std::size_t>(p)].load >
+        pes_[static_cast<std::size_t>(max_pe_)].load) {
+      max_pe_ = p;
     }
   }
-  bottleneck_ = bottleneck;
-  max_pe_ = max_pe;
+  bottleneck_ = pes_[static_cast<std::size_t>(max_pe_)].load;
 }
 
 bool IncrementalObjective::move_feasible(int task, int new_pe) const {
@@ -232,28 +225,19 @@ double IncrementalObjective::peek(int task, int new_pe) const {
     add_to(tasks_[static_cast<std::size_t>(*it)]);
   }
 
-  // std::max_element over the loads after the move yields PE 0's load when
-  // that is NaN and otherwise the largest load that is not. Unless the move
-  // touches max_pe_, its load is the largest of the untouched PEs, and the
-  // O(P) pass is skipped.
-  double bottleneck = old_pe == 0   ? from_load
-                      : new_pe == 0 ? to_load
-                                    : pes_.front().load;
-  if (!std::isnan(bottleneck)) {
-    const auto raise = [&bottleneck](double load) {
-      if (bottleneck < load) bottleneck = load;
-    };
-    raise(from_load);
-    raise(to_load);
-    if (max_pe_ == old_pe || max_pe_ == new_pe) {
-      for (int p = 0; p < static_cast<int>(pes_.size()); ++p) {
-        if (p != old_pe && p != new_pe) {
-          raise(pes_[static_cast<std::size_t>(p)].load);
-        }
+  // The largest load after the move. Unless the move touches max_pe_, its
+  // load is the largest of the untouched PEs, and the O(P) pass is skipped.
+  double bottleneck = std::max(from_load, to_load);
+  if (max_pe_ == old_pe || max_pe_ == new_pe) {
+    for (int p = 0; p < static_cast<int>(pes_.size()); ++p) {
+      if (p != old_pe && p != new_pe) {
+        bottleneck =
+            std::max(bottleneck, pes_[static_cast<std::size_t>(p)].load);
       }
-    } else if (max_pe_ >= 0) {
-      raise(pes_[static_cast<std::size_t>(max_pe_)].load);
     }
+  } else {
+    bottleneck =
+        std::max(bottleneck, pes_[static_cast<std::size_t>(max_pe_)].load);
   }
 
   const int over = over_capacity_pes_ - (from.over ? 1 : 0) -

@@ -1,10 +1,25 @@
 #include "soc/core/task_graph.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <queue>
 #include <stdexcept>
+#include <string>
 
 namespace soc::core {
+
+namespace {
+
+/// Throws std::invalid_argument unless `v` is finite and non-negative.
+void require_figure(double v, const char* what) {
+  if (!std::isfinite(v) || v < 0.0) {
+    throw std::invalid_argument(std::string("TaskGraph: ") + what +
+                                " must be finite and >= 0, got " +
+                                std::to_string(v));
+  }
+}
+
+}  // namespace
 
 bool TaskNode::allows(tech::Fabric f) const noexcept {
   if (allowed_fabrics.empty()) {
@@ -17,9 +32,8 @@ bool TaskNode::allows(tech::Fabric f) const noexcept {
 }
 
 int TaskGraph::add_node(TaskNode node) {
-  if (node.work_ops < 0.0) {
-    throw std::invalid_argument("TaskGraph: negative work");
-  }
+  require_figure(node.work_ops, "work_ops");
+  require_figure(node.demand, "demand");
   nodes_.push_back(std::move(node));
   in_edges_.emplace_back();
   out_edges_.emplace_back();
@@ -32,6 +46,7 @@ void TaskGraph::add_edge(TaskEdge edge) {
       edge.src == edge.dst) {
     throw std::invalid_argument("TaskGraph: bad edge endpoints");
   }
+  require_figure(edge.words_per_item, "words_per_item");
   const int e = static_cast<int>(edges_.size());
   edges_.push_back(edge);
   out_edges_[static_cast<std::size_t>(edge.src)].push_back(e);

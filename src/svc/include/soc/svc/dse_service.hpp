@@ -40,6 +40,10 @@
 ///     kCancelled  [sweep id][points evaluated u64]
 ///     kError      [tag][sweep id][message]
 ///
+/// A kSubmit whose request does not decode or is invalid gets kError with
+/// sweep id 0; one whose terminal and tag do not decode is dropped, since
+/// it has no reply address.
+///
 /// Every client-bound message is appended, under the scheduling mutex, to
 /// that client's FIFO outbox (a pool thread marshals its kPoint before it
 /// takes the mutex). The first thread to find a client's outbox idle after
@@ -102,7 +106,7 @@ struct DseServiceConfig {
 
 /// Monotonic service counters (snapshot via DseService::stats()).
 struct ServiceStats {
-  std::uint64_t submitted = 0;      ///< kSubmit calls decoded
+  std::uint64_t submitted = 0;      ///< kSubmit calls with a reply address
   std::uint64_t accepted = 0;       ///< sweeps admitted (active or queued)
   std::uint64_t rejected_busy = 0;  ///< kBusy replies sent
   std::uint64_t completed = 0;      ///< kDone sent

@@ -210,15 +210,15 @@ void DseService::on_submit(std::vector<std::uint32_t> args) {
   try {
     client = r.u32();
     tag = r.u32();
-    core::wire_get(r, request);
-    r.expect_end();
   } catch (const std::exception&) {
-    return;  // malformed submit: no decodable reply address
+    return;  // no decodable reply address
   }
 
   std::shared_ptr<Job> job;
   std::string error;
   try {
+    core::wire_get(r, request);
+    r.expect_end();
     // Validates the whole request with the session's own checks (and
     // exception texts) before a pool slot is committed.
     auto shard = std::make_shared<ShardEvaluator>(

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <set>
 #include <string>
 
@@ -120,6 +121,34 @@ TEST(TaskGraph, EdgeValidation) {
   g.add_node(named_node("only"));
   EXPECT_THROW(g.add_edge({0, 0, 1}), std::invalid_argument);
   EXPECT_THROW(g.add_edge({0, 5, 1}), std::invalid_argument);
+}
+
+TEST(TaskGraph, RejectsNonFiniteAndNegativeFigures) {
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity(), -1.0}) {
+    SCOPED_TRACE(bad);
+    TaskGraph g("figures");
+    TaskNode work = named_node("work");
+    work.work_ops = bad;
+    EXPECT_THROW(g.add_node(work), std::invalid_argument);
+    TaskNode demand = named_node("demand");
+    demand.demand = bad;
+    EXPECT_THROW(g.add_node(demand), std::invalid_argument);
+    g.add_node(named_node("a"));
+    g.add_node(named_node("b"));
+    EXPECT_THROW(g.add_edge({0, 1, bad}), std::invalid_argument);
+    EXPECT_EQ(g.node_count(), 2);
+    EXPECT_EQ(g.edge_count(), 0);
+  }
+  TaskGraph zero("zero");
+  TaskNode t = named_node("t");
+  t.work_ops = 0.0;
+  t.demand = 0.0;
+  zero.add_node(t);
+  zero.add_node(named_node("u"));
+  zero.add_edge({0, 1, 0.0});
+  EXPECT_EQ(zero.node_count(), 2);
+  EXPECT_EQ(zero.edge_count(), 1);
 }
 
 TEST(TaskNode, FabricPermissions) {

@@ -21,6 +21,7 @@
 #include <filesystem>
 #include <functional>
 #include <iterator>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -191,6 +192,13 @@ class Recorder final : public tlm::Endpoint {
   void wait_until(Pred done) {
     std::unique_lock<std::mutex> lk(mu_);
     cv_.wait(lk, [&] { return done(payloads_); });
+  }
+
+  /// Like wait_until, but gives up after `limit`; false when it did.
+  template <class Pred>
+  bool wait_until_for(std::chrono::seconds limit, Pred done) {
+    std::unique_lock<std::mutex> lk(mu_);
+    return cv_.wait_for(lk, limit, [&] { return done(payloads_); });
   }
 
   std::vector<std::vector<std::uint32_t>> payloads() {
@@ -711,6 +719,16 @@ SweepRequest fronts_and_validation_request(bool alt_scenario) {
   return req;
 }
 
+/// Sends one kSubmit call carrying `args` verbatim from `terminal`.
+void submit_args(tlm::MessageBus& bus, noc::TerminalId terminal,
+                 const std::vector<std::uint32_t>& args) {
+  dsoc::CallHeader hdr;
+  hdr.object = kServiceObjectId;
+  hdr.method = svc_method::kSubmit;
+  hdr.call = 1;
+  bus.message(terminal, kServiceTerminal, dsoc::marshal_call(hdr, args));
+}
+
 /// Submits `req` as a bare endpoint at `terminal` would: no DseClient.
 void raw_submit(tlm::MessageBus& bus, noc::TerminalId terminal,
                 std::uint32_t tag, const SweepRequest& req) {
@@ -718,18 +736,19 @@ void raw_submit(tlm::MessageBus& bus, noc::TerminalId terminal,
   w.u32(terminal);
   w.u32(tag);
   core::wire_put(w, req);
-  dsoc::CallHeader hdr;
-  hdr.object = kServiceObjectId;
-  hdr.method = svc_method::kSubmit;
-  hdr.call = 1;
-  bus.message(terminal, kServiceTerminal, dsoc::marshal_call(hdr, w.words()));
+  submit_args(bus, terminal, w.words());
+}
+
+/// The method of one recorded call body (0 when it has no header).
+dsoc::MethodId method_of(const std::vector<std::uint32_t>& body) {
+  return body.size() > 1 ? body[1] : 0;
 }
 
 /// True once `got` holds a message that finishes a submit's stream (last
 /// or not: the order is checked once everything has arrived).
 bool stream_ended(const std::vector<std::vector<std::uint32_t>>& got) {
   return std::any_of(got.begin(), got.end(), [](const auto& body) {
-    const dsoc::MethodId m = body.size() > 1 ? body[1] : 0;
+    const dsoc::MethodId m = method_of(body);
     return m == svc_method::kDone || m == svc_method::kError ||
            m == svc_method::kBusy || m == svc_method::kCancelled;
   });
@@ -865,6 +884,69 @@ TEST(DseService, RawStreamFollowsTheMethodTableInOrder) {
           std::to_string(clients) + " client(s), client " + std::to_string(c));
     }
   }
+}
+
+TEST(DseService, UndecodableSubmitGetsAnErrorWithItsTag) {
+  Recorder rec;
+  tlm::LoopbackTransport bus;
+  DseService service(bus, kServiceTerminal);
+  bus.attach(1, rec);
+
+  // Three requests that do not decode: one word short, one word over, and
+  // the "filter" task's work_ops (the first encoded 300.0) set to NaN.
+  const std::vector<std::uint32_t> good =
+      core::marshal_sweep_request(small_request());
+  std::vector<std::vector<std::uint32_t>> bad(3, good);
+  bad[0].pop_back();
+  bad[1].push_back(0);
+  dsoc::WireWriter from;
+  dsoc::WireWriter nan;
+  from.f64(300.0);
+  nan.f64(std::numeric_limits<double>::quiet_NaN());
+  const auto at = std::search(bad[2].begin(), bad[2].end(),
+                              from.words().begin(), from.words().end());
+  ASSERT_NE(at, bad[2].end());
+  std::copy(nan.words().begin(), nan.words().end(), at);
+  for (std::uint32_t k = 0; k < 3; ++k) {
+    dsoc::WireWriter w;
+    w.u32(1);
+    w.u32(70 + k);
+    std::vector<std::uint32_t> args = w.words();
+    args.insert(args.end(), bad[k].begin(), bad[k].end());
+    submit_args(bus, 1, args);
+  }
+
+  ASSERT_TRUE(rec.wait_until_for(std::chrono::seconds(10), [](const auto& got) {
+    return got.size() >= 3;
+  })) << "an undecodable submit got no reply";
+  std::vector<std::uint32_t> tags;
+  for (const std::vector<std::uint32_t>& body : rec.payloads()) {
+    std::vector<std::uint32_t> args;
+    const dsoc::CallHeader hdr = dsoc::unmarshal_call(body, args);
+    EXPECT_EQ(hdr.method, svc_method::kError);
+    dsoc::WireReader r(args);
+    tags.push_back(r.u32());
+    EXPECT_EQ(r.u32(), 0u);
+    EXPECT_FALSE(r.str().empty());
+  }
+  std::sort(tags.begin(), tags.end());
+  EXPECT_EQ(tags, (std::vector<std::uint32_t>{70, 71, 72}));
+  EXPECT_EQ(service.stats().errors, 3u);
+  EXPECT_EQ(service.stats().accepted, 0u);
+  EXPECT_EQ(service.active_sweeps(), 0u);
+  EXPECT_EQ(service.queued_sweeps(), 0u);
+
+  // The service still serves a well-formed submit afterwards.
+  raw_submit(bus, 1, 73, small_request());
+  EXPECT_TRUE(rec.wait_until_for(std::chrono::seconds(60), [](const auto& got) {
+    return std::any_of(got.begin(), got.end(), [](const auto& body) {
+      return method_of(body) == svc_method::kDone;
+    });
+  })) << "the well-formed sweep did not complete";
+  EXPECT_EQ(service.stats().completed, 1u);
+
+  service.stop();
+  bus.shutdown();
 }
 
 // -------------------------------------------- a client distrusts the wire ---

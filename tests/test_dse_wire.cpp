@@ -6,7 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -257,6 +259,31 @@ TEST(DseWire, TrailingGarbageAndBogusEnumsThrow) {
   std::vector<std::uint32_t> req = marshal_sweep_request(sample_request());
   req.resize(40);
   EXPECT_THROW(unmarshal_sweep_request(req), std::invalid_argument);
+}
+
+TEST(DseWire, NanTaskWorkDoesNotDecode) {
+  // The decoder rebuilds each graph through TaskGraph::add_node, which
+  // rejects a NaN figure. The first encoded 300.0 is the problem graph's
+  // "filter" task (checked by patching in 301.0 first).
+  const std::vector<std::uint32_t> words =
+      marshal_sweep_request(sample_request());
+  const auto patched = [&words](double work) {
+    dsoc::WireWriter from;
+    dsoc::WireWriter to;
+    from.f64(300.0);
+    to.f64(work);
+    std::vector<std::uint32_t> out = words;
+    const auto at = std::search(out.begin(), out.end(), from.words().begin(),
+                                from.words().end());
+    EXPECT_NE(at, out.end());
+    if (at != out.end()) std::copy(to.words().begin(), to.words().end(), at);
+    return out;
+  };
+  const SweepRequest moved = unmarshal_sweep_request(patched(301.0));
+  EXPECT_EQ(moved.problem.graph.node(1).work_ops, 301.0);
+  EXPECT_THROW(unmarshal_sweep_request(
+                   patched(std::numeric_limits<double>::quiet_NaN())),
+               std::invalid_argument);
 }
 
 // Seeded randomized fuzzing of the strict decoders. The contract under
