@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
-#include <limits>
 #include <string>
 
 #include "dse_session_util.hpp"
