@@ -345,18 +345,15 @@ int main(int argc, char** argv) {
     svc::DseService csvc(cbus, svc::kServiceTerminal, ccfg);
     svc::DseClient client(cbus, 1);
 
-    // A deliberately heavy sweep holds the slot; cancel it on first point.
+    // A deliberately heavy sweep holds the slot and is cancelled once its
+    // first point arrives. The cancel waits for the busy probe: a slot
+    // freed before the probe would admit it.
     core::SweepRequest heavy = make_request(graph, 60000, false);
-    std::atomic<std::uint32_t> heavy_id{0};
-    std::atomic<bool> sent{false};
+    std::atomic<bool> first_point{false};
     const std::uint32_t a = client.submit(
         heavy, [&](std::uint64_t, const core::DsePoint&, bool) {
-          if (sent.exchange(true)) return;
-          // The first point can land before submit() returns the id.
-          while (heavy_id.load() == 0) std::this_thread::yield();
-          client.cancel(heavy_id.load());
+          first_point.store(true);
         });
-    heavy_id.store(a);
     const std::uint32_t b =
         client.submit(make_request(graph, base_iters, false));
     bool busy_refused = false;
@@ -365,6 +362,8 @@ int main(int argc, char** argv) {
     } catch (const svc::ServiceBusy&) {
       busy_refused = true;
     }
+    while (!first_point.load()) std::this_thread::yield();
+    client.cancel(a);
     const auto tc0 = std::chrono::steady_clock::now();
     const svc::SweepResult res_a = client.wait(a);
     const svc::SweepResult res_b = client.wait(b);

@@ -40,9 +40,10 @@
 // `--die-mm2` fixes the floorplan die area (default: auto-sized per
 // candidate from its logic area) — fix it to compare nodes on the same
 // geometry, the paper's nanometer-wall experiment.
-// `--objectives` picks the Pareto-dominance axes by registered name
-// (default tput,area,power; add `energy` for the energy-per-item
-// frontier). The sweep itself runs through the staged DseSession API.
+// `--objectives` picks the Pareto-dominance axes by name from tput, area,
+// power and energy (default tput,area,power; add `energy` for the
+// energy-per-item frontier). The sweep itself runs through the staged
+// DseSession API.
 // `--workers` runs the sweep through an in-process soc::svc::DseService
 // with <count> pool threads (and one DseClient on a loopback bus) instead
 // of a local session; the result is byte-identical to the session at any
@@ -57,6 +58,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "soc/apps/graphs.hpp"
@@ -108,8 +110,9 @@ std::vector<tech::ProcessNode> parse_nodes(const char* list) {
   return nodes;
 }
 
-/// Full usage text, enumerating the registered mapper and objective names
-/// so `--objectives`/`--mapper` choices are discoverable from the tool.
+/// Full usage text, enumerating the objective axes and the registered
+/// mapper names so `--objectives`/`--mapper` choices are discoverable from
+/// the tool.
 void print_usage(std::FILE* out) {
   std::fprintf(out,
                "usage: platform_dse [ipv4|mjpeg|wlan] [anneal_iters] "
@@ -122,9 +125,9 @@ void print_usage(std::FILE* out) {
                "                    [--constraints <groups>[:<capacity>]]\n"
                "                    [--workers <count>]\n"
                "                    [--no-eval-cache] [--help]\n");
-  std::fprintf(out, "registered objectives (for --objectives):");
-  for (const auto& n : core::registered_objectives()) {
-    std::fprintf(out, " %s", n.c_str());
+  std::fprintf(out, "objectives (for --objectives):");
+  for (const std::string_view n : core::objective_names()) {
+    std::fprintf(out, " %.*s", static_cast<int>(n.size()), n.data());
   }
   std::fprintf(out, "\nregistered mappers (for --mapper):");
   for (const auto& n : core::registered_mappers()) {
@@ -241,10 +244,9 @@ static int run_tool(int argc, char** argv) {
       mapper_name = argv[++i];
     } else if (!std::strcmp(argv[i], "--objectives")) {
       if (i + 1 >= argc) {
-        std::fprintf(stderr, "--objectives needs a comma-separated list; "
-                             "registered:");
-        for (const auto& n : core::registered_objectives()) {
-          std::fprintf(stderr, " %s", n.c_str());
+        std::fprintf(stderr, "--objectives needs a comma-separated list of:");
+        for (const std::string_view n : core::objective_names()) {
+          std::fprintf(stderr, " %.*s", static_cast<int>(n.size()), n.data());
         }
         std::fprintf(stderr, "\n");
         return 2;

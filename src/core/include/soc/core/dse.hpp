@@ -3,7 +3,7 @@
 /// \file
 /// Design-space exploration value types (candidates, axes, points, config).
 /// The exploration engine itself lives in dse_session.hpp (DseProblem +
-/// DseSession: staged execution, pluggable dominance objectives,
+/// DseSession: staged execution, selectable dominance objectives,
 /// per-candidate topology reuse).
 
 #include <string>

@@ -2,10 +2,11 @@
 
 /// \file
 /// Session-oriented design-space exploration: DseProblem + DseSession with
-/// staged execution (enumerate → evaluate → front → validate), pluggable
-/// dominance objectives (ObjectiveSpace), a streaming point observer, and a
-/// per-candidate EvalContext that builds, floorplans, and BFS-routes each
-/// candidate's interconnect exactly once across both exploration stages.
+/// staged execution (enumerate → evaluate → front → validate), dominance
+/// objectives chosen by name from four fixed axes (ObjectiveSpace), a
+/// streaming point observer, and a per-candidate EvalContext that builds,
+/// floorplans, and BFS-routes each candidate's interconnect exactly once
+/// across both exploration stages.
 /// Also home of the sweep result layout (SweepLayout / lay_out_sweep) that
 /// the session, the DSE service, and its client all assemble through.
 

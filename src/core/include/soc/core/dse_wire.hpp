@@ -18,9 +18,8 @@
 ///
 /// Every wire_get overload throws std::invalid_argument on a truncated or
 /// malformed stream (out-of-range enum, a count the remaining words cannot
-/// hold, a non-canonical scalar, an axis name unknown to the
-/// ObjectiveSpace registry, bad edge endpoints) and never reads out of
-/// bounds.
+/// hold, a non-canonical scalar, a name outside ObjectiveSpace's four
+/// axes, bad edge endpoints) and never reads out of bounds.
 
 #include <cstdint>
 #include <span>

@@ -91,9 +91,6 @@ void register_mapper(std::string name, MapperFactory factory);
 /// Sorted names of every registered strategy.
 std::vector<std::string> registered_mappers();
 
-/// True when a strategy is registered under `name`.
-bool is_registered_mapper(std::string_view name);
-
 /// Builds the named strategy; throws std::invalid_argument (listing the
 /// registered names) when unknown.
 std::unique_ptr<Mapper> make_mapper(std::string_view name,

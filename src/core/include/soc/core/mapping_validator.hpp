@@ -111,7 +111,9 @@ class MappingValidator {
   /// and a copy of the mapping. Throws std::invalid_argument on a mapping
   /// whose size does not match the graph, or on out-of-range config values
   /// (load_factor outside (0,1], non-positive words_per_flit,
-  /// measure_cycles, max_outstanding_rounds or top_hotspots).
+  /// warmup_cycles, measure_cycles, max_outstanding_rounds or
+  /// top_hotspots), named as DseSession names them
+  /// ("validation.<field>").
   MappingValidator(const TaskGraph& graph, const PlatformDesc& platform,
                    Mapping mapping, ValidatorConfig cfg = {});
 

@@ -1,10 +1,11 @@
 #pragma once
 
 // Module-private helpers shared by the DSE translation units (dse.cpp,
-// objective_space.cpp, dse_session.cpp): input validation, which throws
-// std::invalid_argument naming the offending field, and the candidate,
-// dominance and replay steps every sweep path shares. Implemented in
-// dse_session.cpp, except the dominance pass (objective_space.cpp).
+// objective_space.cpp, dse_session.cpp, mapping_validator.cpp): input
+// validation, which throws std::invalid_argument naming the offending
+// field, and the candidate, dominance and replay steps every sweep path
+// shares. Implemented in dse_session.cpp, except the dominance pass
+// (objective_space.cpp).
 
 #include <cstddef>
 #include <memory>
@@ -36,8 +37,8 @@ void validate_exec_config(const DseConfig& config);
 /// simulation (load_factor, words_per_flit, warmup/measure windows,
 /// max_outstanding_rounds, top_hotspots), field-named as
 /// "DseConfig: validation.<field>". Checked wherever a replay is armed:
-/// the session constructor when config.validate_pareto is set, and
-/// DseSession::validate() always.
+/// the session constructor when config.validate_pareto is set,
+/// DseSession::validate() always, and every MappingValidator constructor.
 void validate_validator_config(const ValidatorConfig& v);
 
 /// Full up-front check: exec knobs always, replay knobs when

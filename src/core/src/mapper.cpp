@@ -125,12 +125,6 @@ std::vector<std::string> registered_mappers() {
   return names;  // std::map iterates sorted
 }
 
-bool is_registered_mapper(std::string_view name) {
-  Registry& reg = registry();
-  const std::lock_guard<std::mutex> lock(reg.mu);
-  return reg.factories.find(std::string(name)) != reg.factories.end();
-}
-
 std::unique_ptr<Mapper> make_mapper(std::string_view name,
                                     const AnnealConfig& anneal) {
   MapperFactory factory;

@@ -7,6 +7,8 @@
 #include <string>
 #include <utility>
 
+#include "dse_internal.hpp"
+
 namespace soc::core {
 
 MappingValidator::MappingValidator(const TaskGraph& graph,
@@ -33,23 +35,7 @@ MappingValidator::MappingValidator(const TaskGraph& graph,
   if (static_cast<int>(mapping_.size()) != graph.node_count()) {
     throw std::invalid_argument("MappingValidator: mapping size mismatch");
   }
-  if (cfg_.load_factor <= 0.0 || cfg_.load_factor > 1.0) {
-    throw std::invalid_argument(
-        "MappingValidator: load_factor must be in (0, 1]");
-  }
-  if (cfg_.words_per_flit <= 0.0) {
-    throw std::invalid_argument("MappingValidator: words_per_flit must be > 0");
-  }
-  if (cfg_.measure_cycles == 0) {
-    throw std::invalid_argument("MappingValidator: measure_cycles must be > 0");
-  }
-  if (cfg_.max_outstanding_rounds <= 0) {
-    throw std::invalid_argument(
-        "MappingValidator: max_outstanding_rounds must be > 0");
-  }
-  if (cfg_.top_hotspots <= 0) {
-    throw std::invalid_argument("MappingValidator: top_hotspots must be > 0");
-  }
+  internal::validate_validator_config(cfg_);
 }
 
 ValidationReport MappingValidator::run() {

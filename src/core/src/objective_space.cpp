@@ -1,10 +1,7 @@
 #include "soc/core/objective_space.hpp"
 
-#include <map>
-#include <mutex>
 #include <numeric>
 #include <stdexcept>
-#include <utility>
 
 #include "dse_internal.hpp"
 #include "soc/sim/parallel.hpp"
@@ -13,98 +10,38 @@ namespace soc::core {
 
 namespace {
 
-struct RegistryEntry {
-  ObjectiveDirection direction;
-  std::function<double(const DsePoint&)> extract;
+/// Every axis an ObjectiveSpace can hold. A new axis is one row here, which
+/// the client and the daemon of a served sweep both compile in.
+constexpr ObjectiveAxis kAxes[] = {
+    {"tput", ObjectiveDirection::kMaximize,
+     [](const DsePoint& p) { return p.throughput_per_kcycle; }},
+    {"area", ObjectiveDirection::kMinimize,
+     [](const DsePoint& p) { return p.silicon.total_area_mm2; }},
+    {"power", ObjectiveDirection::kMinimize,
+     [](const DsePoint& p) {
+       return p.silicon.peak_dynamic_mw + p.silicon.leakage_mw;
+     }},
+    {"energy", ObjectiveDirection::kMinimize,
+     [](const DsePoint& p) { return p.mapping_cost.energy_pj_per_item; }},
 };
 
-struct Registry {
-  std::mutex mu;
-  std::map<std::string, RegistryEntry, std::less<>> entries;
-};
-
-Registry& registry() {
-  // Leaked singleton (same idiom as the mapper registry): pre-seed the
-  // built-in axes, never destruct, so static-destruction order can't bite
-  // sweeps running at exit.
-  static Registry& r = *[] {
-    auto* reg = new Registry();
-    reg->entries["tput"] = RegistryEntry{
-        ObjectiveDirection::kMaximize,
-        [](const DsePoint& p) { return p.throughput_per_kcycle; }};
-    reg->entries["area"] = RegistryEntry{
-        ObjectiveDirection::kMinimize,
-        [](const DsePoint& p) { return p.silicon.total_area_mm2; }};
-    reg->entries["power"] = RegistryEntry{
-        ObjectiveDirection::kMinimize, [](const DsePoint& p) {
-          return p.silicon.peak_dynamic_mw + p.silicon.leakage_mw;
-        }};
-    reg->entries["energy"] = RegistryEntry{
-        ObjectiveDirection::kMinimize,
-        [](const DsePoint& p) { return p.mapping_cost.energy_pj_per_item; }};
-    return reg;
-  }();
-  return r;
-}
-
-/// Comma-separated registry contents, appended to every objective-name
-/// error so callers see what they could have asked for.
-std::string registered_csv() {
+/// The four axis names, appended to every objective-name error so callers
+/// see what they could have asked for.
+std::string known_csv() {
   std::string out;
-  for (const auto& n : registered_objectives()) {
+  for (const ObjectiveAxis& a : kAxes) {
     if (!out.empty()) out += ", ";
-    out += n;
+    out += a.name;
   }
   return out;
 }
 
-[[noreturn]] void throw_unknown(std::string_view name) {
-  throw std::invalid_argument("unknown objective '" + std::string(name) +
-                              "'; registered: " + registered_csv());
-}
-
 }  // namespace
 
-void register_objective(std::string name, ObjectiveDirection direction,
-                        std::function<double(const DsePoint&)> extract) {
-  if (name.empty()) {
-    throw std::invalid_argument("register_objective: empty name");
-  }
-  if (!extract) {
-    throw std::invalid_argument("register_objective: null extractor for '" +
-                                name + "'");
-  }
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  r.entries[std::move(name)] = RegistryEntry{direction, std::move(extract)};
-}
-
-std::vector<std::string> registered_objectives() {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  std::vector<std::string> names;
-  names.reserve(r.entries.size());
-  for (const auto& [name, entry] : r.entries) names.push_back(name);
-  return names;  // std::map iterates sorted
-}
-
-bool is_registered_objective(std::string_view name) {
-  Registry& r = registry();
-  const std::lock_guard<std::mutex> lock(r.mu);
-  return r.entries.find(name) != r.entries.end();
-}
-
-ObjectiveAxis make_objective(std::string_view name) {
-  Registry& r = registry();
-  {
-    const std::lock_guard<std::mutex> lock(r.mu);
-    const auto it = r.entries.find(name);
-    if (it != r.entries.end()) {
-      return ObjectiveAxis{it->first, it->second.direction,
-                           it->second.extract};
-    }
-  }
-  throw_unknown(name);
+std::vector<std::string_view> objective_names() {
+  std::vector<std::string_view> names;
+  for (const ObjectiveAxis& a : kAxes) names.push_back(a.name);
+  return names;
 }
 
 ObjectiveSpace ObjectiveSpace::default_space() {
@@ -122,7 +59,7 @@ ObjectiveSpace ObjectiveSpace::from_names(std::string_view csv) {
     if (item.empty()) {
       throw std::invalid_argument(
           "ObjectiveSpace: empty axis name in objective list '" +
-          std::string(csv) + "'; registered: " + registered_csv());
+          std::string(csv) + "'; known: " + known_csv());
     }
     space.add(item);
     if (comma == std::string_view::npos) break;
@@ -132,26 +69,21 @@ ObjectiveSpace ObjectiveSpace::from_names(std::string_view csv) {
 }
 
 ObjectiveSpace& ObjectiveSpace::add(std::string_view name) {
-  return add(make_objective(name));
-}
-
-ObjectiveSpace& ObjectiveSpace::add(ObjectiveAxis axis) {
-  if (axis.name.empty()) {
-    throw std::invalid_argument("ObjectiveSpace: axis with empty name");
-  }
-  if (!axis.extract) {
-    throw std::invalid_argument("ObjectiveSpace: axis '" + axis.name +
-                                "' has a null extractor");
-  }
-  for (const auto& a : axes_) {
-    if (a.name == axis.name) {
+  for (const ObjectiveAxis& a : axes_) {
+    if (a.name == name) {
       throw std::invalid_argument("ObjectiveSpace: duplicate axis '" +
-                                  axis.name +
-                                  "'; registered: " + registered_csv());
+                                  std::string(name) +
+                                  "'; known: " + known_csv());
     }
   }
-  axes_.push_back(std::move(axis));
-  return *this;
+  for (const ObjectiveAxis& a : kAxes) {
+    if (a.name == name) {
+      axes_.push_back(a);
+      return *this;
+    }
+  }
+  throw std::invalid_argument("unknown objective '" + std::string(name) +
+                              "'; known: " + known_csv());
 }
 
 std::string ObjectiveSpace::names() const {
@@ -161,25 +93,6 @@ std::string ObjectiveSpace::names() const {
     out += a.name;
   }
   return out;
-}
-
-bool ObjectiveSpace::dominates(const DsePoint& a, const DsePoint& b) const {
-  if (axes_.empty()) {
-    throw std::logic_error("ObjectiveSpace::dominates: no axes");
-  }
-  bool strictly = false;
-  for (const auto& axis : axes_) {
-    const double va = axis.extract(a);
-    const double vb = axis.extract(b);
-    if (axis.direction == ObjectiveDirection::kMaximize) {
-      if (va < vb) return false;
-      strictly = strictly || va > vb;
-    } else {
-      if (va > vb) return false;
-      strictly = strictly || va < vb;
-    }
-  }
-  return strictly;
 }
 
 std::vector<std::size_t> ObjectiveSpace::mark_front(
@@ -201,7 +114,7 @@ namespace internal {
 
 std::vector<double> objective_rows(const ObjectiveSpace& space,
                                    const std::vector<DsePoint>& points) {
-  // Hoist the type-erased extractors out of the all-pairs pass: each
+  // Hoist the extractor calls out of the all-pairs pass: each
   // point's axis figures are read once (n*k extractor calls), and the
   // O(n^2) dominance loop compares raw doubles. Sign-normalizing maximize
   // axes keeps that loop branch-free per axis without changing any

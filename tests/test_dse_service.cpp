@@ -182,23 +182,17 @@ class Recorder final : public tlm::Endpoint {
     if (done) done(t);
   }
 
-  /// Blocks until `n` messages have arrived (test-deadline bounded).
-  void wait_for(std::size_t n) {
-    wait_until([n](const auto& got) { return got.size() >= n; });
+  /// Blocks until `n` messages have arrived; false after 60 s without.
+  [[nodiscard]] bool wait_for(std::size_t n) {
+    return wait_until([n](const auto& got) { return got.size() >= n; });
   }
 
-  /// Blocks until `done(payloads so far)` holds (test-deadline bounded).
+  /// Blocks until `done(payloads so far)` holds; false after 60 s without.
   template <class Pred>
-  void wait_until(Pred done) {
+  [[nodiscard]] bool wait_until(Pred done) {
     std::unique_lock<std::mutex> lk(mu_);
-    cv_.wait(lk, [&] { return done(payloads_); });
-  }
-
-  /// Like wait_until, but gives up after `limit`; false when it did.
-  template <class Pred>
-  bool wait_until_for(std::chrono::seconds limit, Pred done) {
-    std::unique_lock<std::mutex> lk(mu_);
-    return cv_.wait_for(lk, limit, [&] { return done(payloads_); });
+    return cv_.wait_for(lk, std::chrono::seconds(60),
+                        [&] { return done(payloads_); });
   }
 
   std::vector<std::vector<std::uint32_t>> payloads() {
@@ -232,7 +226,7 @@ TEST(SocketTransport, EphemeralPortAndBidirectionalFifo) {
   for (std::uint32_t i = 0; i < 100; ++i) {
     client->message(1, 0, {i, i * 3u});
   }
-  server_rec.wait_for(100);
+  ASSERT_TRUE(server_rec.wait_for(100));
   const auto inbound = server_rec.payloads();
   for (std::uint32_t i = 0; i < 100; ++i) {
     ASSERT_EQ(inbound[i], (std::vector<std::uint32_t>{i, i * 3u})) << i;
@@ -243,7 +237,7 @@ TEST(SocketTransport, EphemeralPortAndBidirectionalFifo) {
   for (std::uint32_t i = 0; i < 10; ++i) {
     server->message(0, 1, {0xBEEF0000u + i});
   }
-  client_rec.wait_for(10);
+  ASSERT_TRUE(client_rec.wait_for(10));
   EXPECT_EQ(client_rec.payloads()[9],
             (std::vector<std::uint32_t>{0xBEEF0009u}));
 
@@ -271,7 +265,7 @@ TEST(SocketTransport, LargePayloadSurvivesFraming) {
     body[i] = static_cast<std::uint32_t>(i * 2654435761u);
   }
   client->message(7, 0, body);
-  rec.wait_for(1);
+  ASSERT_TRUE(rec.wait_for(1));
   EXPECT_EQ(rec.payloads()[0], body);
 
   client->shutdown();
@@ -290,7 +284,7 @@ TEST(SocketTransport, ShutdownFlushesPendingWrites) {
   // Immediate shutdown: the writer must drain its outbox before closing,
   // so every queued frame still reaches the server.
   client->shutdown();
-  rec.wait_for(500);
+  ASSERT_TRUE(rec.wait_for(500));
   const auto got = rec.payloads();
   ASSERT_EQ(got.size(), 500u);
   for (std::uint32_t i = 0; i < 500; ++i) {
@@ -316,7 +310,7 @@ TEST(SocketTransport, ClosedConnectionsAreReaped) {
   for (std::uint32_t i = 0; i < 5; ++i) {
     auto client = tlm::SocketTransport::connect("127.0.0.1", server->port());
     client->message(1, 0, {i});
-    rec.wait_for(i + 1);
+    ASSERT_TRUE(rec.wait_for(i + 1));
     client->shutdown();
   }
   // Each server-side reader reaps its connection after the client's EOF.
@@ -419,7 +413,7 @@ TEST(SocketTransport, MalformedFramesAreRecorded) {
     auto client = tlm::SocketTransport::connect("127.0.0.1", server->port());
     client->message(1, 0, {7, 8});
     client->message(1, 0, {9});
-    rec.wait_for(2);
+    ASSERT_TRUE(rec.wait_for(2));
     client->shutdown();
     server->shutdown();  // joins the dispatcher: the count below is final
     EXPECT_EQ(server->messages_delivered(), 2u);
@@ -873,7 +867,8 @@ TEST(DseService, RawStreamFollowsTheMethodTableInOrder) {
                  static_cast<std::uint32_t>(40 + c), reqs[c]);
     }
     for (std::size_t c = 0; c < clients; ++c) {
-      recorders[c].wait_until(stream_ended);
+      EXPECT_TRUE(recorders[c].wait_until(stream_ended))
+          << "client " << c << "'s stream did not end";
     }
     service.stop();
     bus.shutdown();  // delivers anything sent after the last message
@@ -916,9 +911,7 @@ TEST(DseService, UndecodableSubmitGetsAnErrorWithItsTag) {
     submit_args(bus, 1, args);
   }
 
-  ASSERT_TRUE(rec.wait_until_for(std::chrono::seconds(10), [](const auto& got) {
-    return got.size() >= 3;
-  })) << "an undecodable submit got no reply";
+  ASSERT_TRUE(rec.wait_for(3)) << "an undecodable submit got no reply";
   std::vector<std::uint32_t> tags;
   for (const std::vector<std::uint32_t>& body : rec.payloads()) {
     std::vector<std::uint32_t> args;
@@ -938,7 +931,7 @@ TEST(DseService, UndecodableSubmitGetsAnErrorWithItsTag) {
 
   // The service still serves a well-formed submit afterwards.
   raw_submit(bus, 1, 73, small_request());
-  EXPECT_TRUE(rec.wait_until_for(std::chrono::seconds(60), [](const auto& got) {
+  EXPECT_TRUE(rec.wait_until([](const auto& got) {
     return std::any_of(got.begin(), got.end(), [](const auto& body) {
       return method_of(body) == svc_method::kDone;
     });

@@ -1,11 +1,11 @@
-// The session-oriented DSE API: staged execution, the pluggable
-// ObjectiveSpace dominance registry (energy axis included), the streaming
-// point observer, and single-build topology reuse across both stages
-// (counter-backed).
+// The session-oriented DSE API: staged execution, the ObjectiveSpace
+// dominance axes (energy included), the streaming point observer, and
+// single-build topology reuse across both stages (counter-backed).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "soc/apps/graphs.hpp"
@@ -188,26 +188,27 @@ TEST(DseSession, ObserverSeesEveryPointAtAnyThreadCount) {
   EXPECT_EQ(seen, (std::vector<int>{4, 4, 8, 8}));
 }
 
-// ------------------------------------------------------ objective registry ---
+// ---------------------------------------------------------- objective axes ---
 
 TEST(ObjectiveSpace, BuiltInAxesAreRegistered) {
-  for (const char* name : {"tput", "area", "power", "energy"}) {
-    EXPECT_TRUE(is_registered_objective(name)) << name;
+  const std::vector<std::string_view> names = objective_names();
+  EXPECT_EQ(names, (std::vector<std::string_view>{"tput", "area", "power",
+                                                   "energy"}));
+  for (const std::string_view name : names) {
+    EXPECT_EQ(ObjectiveSpace().add(name).axis(0).name, name);
   }
-  const auto names = registered_objectives();
-  EXPECT_GE(names.size(), 4u);
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
 
 TEST(ObjectiveSpace, UnknownAxisThrowsListingRegistry) {
   try {
-    make_objective("no-such-axis");
+    ObjectiveSpace().add("no-such-axis");
     FAIL() << "expected invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
     EXPECT_NE(msg.find("no-such-axis"), std::string::npos);
-    EXPECT_NE(msg.find("tput"), std::string::npos);
-    EXPECT_NE(msg.find("energy"), std::string::npos);
+    for (const std::string_view name : objective_names()) {
+      EXPECT_NE(msg.find(name), std::string::npos) << name;
+    }
   }
 }
 
@@ -231,19 +232,9 @@ TEST(ObjectiveSpace, DefaultSpaceIsTheHistoricalTriple) {
   EXPECT_EQ(ObjectiveSpace::default_space().names(), "tput,area,power");
 }
 
-TEST(ObjectiveSpace, CustomAxisRegistersAndRanks) {
-  register_objective("test-latency", ObjectiveDirection::kMinimize,
-                     [](const DsePoint& p) {
-                       return p.mapping_cost.pipeline_latency;
-                     });
-  EXPECT_TRUE(is_registered_objective("test-latency"));
-  auto space = ObjectiveSpace::default_space();
-  space.add("test-latency");
-  EXPECT_EQ(space.size(), 4u);
-  EXPECT_EQ(space.names(), "tput,area,power,test-latency");
-}
-
 TEST(ObjectiveSpace, DominatesRespectsDirections) {
+  // `a` has the higher tput (maximized) and the lower area and power
+  // (minimized), so it dominates `b` only if every direction is honoured.
   DsePoint a, b;
   a.throughput_per_kcycle = 10;
   a.silicon.total_area_mm2 = 5;
@@ -252,10 +243,12 @@ TEST(ObjectiveSpace, DominatesRespectsDirections) {
   b.silicon.total_area_mm2 = 6;
   b.silicon.peak_dynamic_mw = 120;
   const auto space = ObjectiveSpace::default_space();
-  EXPECT_TRUE(space.dominates(a, b));
-  EXPECT_FALSE(space.dominates(b, a));
-  EXPECT_FALSE(space.dominates(a, a));  // equal on every axis: not strict
-  EXPECT_THROW(ObjectiveSpace().dominates(a, b), std::logic_error);
+  std::vector<DsePoint> pair{b, a};
+  EXPECT_EQ(space.mark_front(pair), (std::vector<std::size_t>{1}));
+  EXPECT_FALSE(pair[0].pareto_optimal);
+  std::vector<DsePoint> twins{a, a};  // equal on every axis: not strict
+  EXPECT_EQ(space.mark_front(twins), (std::vector<std::size_t>{0, 1}));
+  EXPECT_THROW(ObjectiveSpace().mark_front(pair), std::logic_error);
 }
 
 // ------------------------------------------------------------- energy axis ---

@@ -114,6 +114,23 @@ TEST(DseWire, SweepRequestRoundTrip) {
   EXPECT_EQ(back.config.mapper, "greedy");
   EXPECT_EQ(back.problem.objectives.names(),
             ObjectiveSpace::default_space().names());
+
+  // A reordered, non-default space travels as its names and decodes to the
+  // same axes: same order, directions and extractors.
+  SweepRequest reordered = req;
+  reordered.problem.objectives = ObjectiveSpace::from_names("energy,tput");
+  const std::vector<std::uint32_t> reordered_words =
+      marshal_sweep_request(reordered);
+  const ObjectiveSpace decoded =
+      unmarshal_sweep_request(reordered_words).problem.objectives;
+  EXPECT_EQ(decoded.names(), "energy,tput");
+  ASSERT_EQ(decoded.size(), reordered.problem.objectives.size());
+  for (std::size_t i = 0; i < decoded.size(); ++i) {
+    const ObjectiveAxis& want = reordered.problem.objectives.axis(i);
+    EXPECT_EQ(decoded.axis(i).direction, want.direction) << want.name;
+    EXPECT_EQ(decoded.axis(i).extract, want.extract) << want.name;
+  }
+  EXPECT_NE(reordered_words, words);
 }
 
 TEST(DseWire, PointRoundTrip) {

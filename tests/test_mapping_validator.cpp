@@ -57,6 +57,10 @@ TEST(MappingValidator, RejectsBadInputs) {
   EXPECT_THROW(MappingValidator(g, p, Mapping{0, 1, 2}, bad),
                std::invalid_argument);
   bad = {};
+  bad.warmup_cycles = 0;
+  EXPECT_THROW(MappingValidator(g, p, Mapping{0, 1, 2}, bad),
+               std::invalid_argument);
+  bad = {};
   bad.measure_cycles = 0;
   EXPECT_THROW(MappingValidator(g, p, Mapping{0, 1, 2}, bad),
                std::invalid_argument);

@@ -2,6 +2,7 @@
 // (banked memory, pipelined fixed-function, sink).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 #include <stdexcept>
@@ -272,9 +273,11 @@ struct Recorder : Endpoint {
     const std::lock_guard<std::mutex> lock(mu);
     return payloads.size();
   }
-  void wait_for(std::size_t n) {
+  /// Blocks until `n` messages have arrived; false after 60 s without.
+  [[nodiscard]] bool wait_for(std::size_t n) {
     std::unique_lock<std::mutex> lock(mu);
-    cv.wait(lock, [&] { return payloads.size() >= n; });
+    return cv.wait_for(lock, std::chrono::seconds(60),
+                       [&] { return payloads.size() >= n; });
   }
   std::mutex mu;
   std::condition_variable cv;
@@ -286,7 +289,7 @@ TEST(Loopback, DeliversInFifoOrderPerTerminal) {
   Recorder rec;
   bus.attach(3, rec);
   for (std::uint32_t i = 0; i < 100; ++i) bus.message(0, 3, {i, i + 1});
-  rec.wait_for(100);
+  ASSERT_TRUE(rec.wait_for(100));
   bus.shutdown();
   ASSERT_EQ(rec.payloads.size(), 100u);
   for (std::uint32_t i = 0; i < 100; ++i) {
@@ -358,8 +361,8 @@ TEST(Loopback, CrossTerminalTrafficAllArrives) {
     bus.message(0, 1, {i});
     bus.message(0, 2, {i, i});
   }
-  a.wait_for(40);
-  b.wait_for(40);
+  ASSERT_TRUE(a.wait_for(40));
+  ASSERT_TRUE(b.wait_for(40));
   bus.shutdown();
   EXPECT_EQ(a.count(), 40u);
   EXPECT_EQ(b.count(), 40u);
